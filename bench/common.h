@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,11 +71,13 @@ struct FatTreeExperiment {
   /// (§6.3). Overridable for ablations.
   std::string contra_policy = "minimize((path.len, path.util))";
   dataplane::ContraSwitchOptions contra_options;  ///< probe/flowlet set below
-  /// Optional queue tracing (Fig. 13). Serial engine only.
+  /// Optional queue tracing (Fig. 13). Needs a single shard: the tracer
+  /// hooks one simulator's links.
   bool trace_queues = false;
-  /// workers > 0 runs on the sharded parallel engine (DESIGN.md §8) with
-  /// that many threads; shards = 0 picks the topology default. Results are
-  /// deterministic for any worker count at a fixed shard count.
+  /// workers > 0 runs on that many threads of the sharded engine (DESIGN.md
+  /// §8), with `shards` = 0 picking the topology default; workers = 0 runs on
+  /// exactly one shard, which is the serial engine. Results are deterministic
+  /// for any worker count at a fixed shard count.
   uint32_t workers = 0;
   uint32_t shards = 0;
 };
@@ -91,119 +94,37 @@ struct ExperimentResult {
   std::vector<double> queue_samples_mss;
 };
 
-inline ExperimentResult run_fat_tree_experiment_parallel(const FatTreeExperiment& exp);
-
-inline ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& exp) {
-  if (exp.workers > 0) return run_fat_tree_experiment_parallel(exp);
-  const topology::Topology topo =
-      topology::fat_tree(4, topology::LinkParams{exp.link_rate_bps, 1e-6});
-
+/// Engine config shared by the experiments: workers = 0 pins one shard.
+inline sim::SimConfig engine_config(double link_rate_bps, double probe_period_s,
+                                    uint32_t workers, uint32_t shards) {
   sim::SimConfig config;
-  config.host_link_bps = exp.link_rate_bps;
-  config.queue_capacity_bytes = 1000ull * 1500;  // 1000 MSS (paper)
-  config.util_tau_s = 2 * exp.probe_period_s;
-  sim::Simulator sim(topo, config);
-
-  const auto hosts = sim::attach_hosts_to_fat_tree_edges(sim, exp.hosts_per_edge);
-  std::vector<sim::HostId> senders, receivers;
-  for (sim::HostId h : hosts) (h % 2 ? receivers : senders).push_back(h);
-
-  // Fail before installing: static planes (ECMP) route on the converged
-  // asymmetric topology; adaptive planes discover it via probes anyway.
-  if (exp.fail_agg_core) {
-    sim.fail_cable(topo.link_between(topo.find("a0_0"), topo.find("c0")));
-  }
-
-  compiler::CompileResult compiled;
-  std::unique_ptr<pg::PolicyEvaluator> evaluator;
-  std::vector<dataplane::ContraSwitch*> contra_switches;
-  switch (exp.plane) {
-    case Plane::kEcmp:
-      dataplane::install_ecmp_network(sim);
-      break;
-    case Plane::kShortestPath:
-      dataplane::install_shortest_path_network(sim);
-      break;
-    case Plane::kSpain:
-      dataplane::install_spain_network(sim);
-      break;
-    case Plane::kHula: {
-      dataplane::HulaOptions options;
-      options.probe_period_s = exp.probe_period_s;
-      options.flowlet_timeout_s = exp.flowlet_timeout_s;
-      dataplane::install_hula_network(sim, options);
-      break;
-    }
-    case Plane::kContra: {
-      compiled = compiler::compile(exp.contra_policy, topo);
-      evaluator =
-          std::make_unique<pg::PolicyEvaluator>(compiled.graph, compiled.decomposition);
-      dataplane::ContraSwitchOptions options = exp.contra_options;
-      options.probe_period_s = exp.probe_period_s;
-      options.flowlet_timeout_s = exp.flowlet_timeout_s;
-      contra_switches = dataplane::install_contra_network(sim, compiled, *evaluator, options);
-      break;
-    }
-  }
-
-  sim::QueueLengthTracer tracer;
-  sim::TransportManager transport(sim);
-
-  // Offered load: fraction of each sender's fair share of the bisection
-  // (40 Gbps bisection / 16 senders at defaults).
-  const double bisection = 4.0 * exp.link_rate_bps;  // k^3/4 x rate for k=4
-  workload::WorkloadConfig wl;
-  wl.load = exp.load;
-  wl.sender_capacity_bps = bisection / senders.size();
-  wl.start = 3e-3;
-  wl.duration = exp.duration_s;
-  wl.seed = exp.seed;
-  wl.size_scale = exp.size_scale;
-  const auto flows = workload::generate_poisson(*exp.sizes, senders, receivers, wl);
-  workload::submit(transport, flows);
-
-  sim.start();
-  sim.run_until(wl.start);
-  if (exp.trace_queues) tracer.attach_fabric(sim, 1500);  // after convergence
-  const sim::LinkStats window_start = sim.aggregate_fabric_stats();
-  sim.run_until(wl.start + wl.duration);
-  const sim::LinkStats window_end = sim.aggregate_fabric_stats();
-  sim.run_until(wl.start + wl.duration + exp.drain_s);
-
-  ExperimentResult result;
-  result.fct = metrics::summarize_fct(transport.completed_flows(), flows.size());
-  result.overhead = metrics::make_overhead_report(window_end, window_start);
-  result.fabric_drops = sim.aggregate_fabric_stats().data_drops;
-  for (const auto* sw : contra_switches) {
-    result.looped_packets += sw->stats().looped_packets_seen;
-    result.loops_broken += sw->stats().loops_broken;
-    result.policy_drops += sw->stats().data_dropped_no_route;
-    result.data_packets_forwarded += sw->stats().data_forwarded;
-  }
-  result.events_processed = sim.events().events_processed();
-  result.queue_samples_mss = tracer.samples_mss();
-  return result;
+  config.host_link_bps = link_rate_bps;
+  config.util_tau_s = 2 * probe_period_s;
+  config.workers = workers;
+  config.shards = workers == 0 ? 1 : shards;
+  return config;
 }
 
-/// The same fat-tree experiment on the sharded parallel engine. Queue
-/// tracing is not supported here (the tracer hooks one simulator's links);
-/// everything else matches the serial harness parameter for parameter.
-inline ExperimentResult run_fat_tree_experiment_parallel(const FatTreeExperiment& exp) {
+inline ExperimentResult run_fat_tree_experiment(const FatTreeExperiment& exp) {
   const topology::Topology topo =
       topology::fat_tree(4, topology::LinkParams{exp.link_rate_bps, 1e-6});
 
-  sim::SimConfig config;
-  config.host_link_bps = exp.link_rate_bps;
-  config.queue_capacity_bytes = 1000ull * 1500;
-  config.util_tau_s = 2 * exp.probe_period_s;
-  config.workers = exp.workers;
-  config.shards = exp.shards;
+  sim::SimConfig config =
+      engine_config(exp.link_rate_bps, exp.probe_period_s, exp.workers, exp.shards);
+  config.queue_capacity_bytes = 1000ull * 1500;  // 1000 MSS (paper)
   sim::ParallelSimulator psim(topo, config);
+  if (exp.trace_queues && psim.num_shards() != 1) {
+    std::fprintf(stderr, "queue tracing needs one shard; got %u (run with workers = 0)\n",
+                 psim.num_shards());
+    std::exit(1);
+  }
 
   const auto hosts = sim::attach_hosts_to_fat_tree_edges(psim, exp.hosts_per_edge);
   std::vector<sim::HostId> senders, receivers;
   for (sim::HostId h : hosts) (h % 2 ? receivers : senders).push_back(h);
 
+  // Fail before installing: static planes (ECMP) route on the converged
+  // asymmetric topology; adaptive planes discover it via probes anyway.
   if (exp.fail_agg_core) {
     psim.fail_cable(topo.link_between(topo.find("a0_0"), topo.find("c0")));
   }
@@ -245,8 +166,12 @@ inline ExperimentResult run_fat_tree_experiment_parallel(const FatTreeExperiment
     }
   });
 
+  sim::QueueLengthTracer tracer;
   sim::ParallelTransport transport(psim);
-  const double bisection = 4.0 * exp.link_rate_bps;
+
+  // Offered load: fraction of each sender's fair share of the bisection
+  // (40 Gbps bisection / 16 senders at defaults).
+  const double bisection = 4.0 * exp.link_rate_bps;  // k^3/4 x rate for k=4
   workload::WorkloadConfig wl;
   wl.load = exp.load;
   wl.sender_capacity_bps = bisection / senders.size();
@@ -259,6 +184,7 @@ inline ExperimentResult run_fat_tree_experiment_parallel(const FatTreeExperiment
 
   psim.start();
   psim.run_until(wl.start);
+  if (exp.trace_queues) tracer.attach_fabric(psim.shard_sim(0), 1500);  // after convergence
   const sim::LinkStats window_start = psim.aggregate_fabric_stats();
   psim.run_until(wl.start + wl.duration);
   const sim::LinkStats window_end = psim.aggregate_fabric_stats();
@@ -275,6 +201,7 @@ inline ExperimentResult run_fat_tree_experiment_parallel(const FatTreeExperiment
     result.data_packets_forwarded += sw->stats().data_forwarded;
   }
   result.events_processed = psim.events_processed();
+  result.queue_samples_mss = tracer.samples_mss();
   return result;
 }
 
@@ -289,93 +216,19 @@ struct AbileneExperiment {
   double size_scale = 0.1;
   double link_rate_bps = 2e9;  ///< scaled from the paper's 40 Gbps
   double probe_period_s = 256e-6;
-  /// workers > 0 runs on the sharded parallel engine (see FatTreeExperiment).
+  /// Engine selection as in FatTreeExperiment.
   uint32_t workers = 0;
   uint32_t shards = 0;
 };
 
-inline ExperimentResult run_abilene_experiment_parallel(const AbileneExperiment& exp);
-
 inline ExperimentResult run_abilene_experiment(const AbileneExperiment& exp) {
-  if (exp.workers > 0) return run_abilene_experiment_parallel(exp);
   // Delay scale 0.02 keeps max RTT under the probe period rule (§5.2) at
   // simulation-friendly durations while preserving relative link delays.
   const topology::Topology topo = topology::abilene(exp.link_rate_bps, 0.02);
-
-  sim::SimConfig config;
-  config.host_link_bps = exp.link_rate_bps;
-  config.util_tau_s = 2 * exp.probe_period_s;
-  sim::Simulator sim(topo, config);
+  sim::ParallelSimulator psim(
+      topo, engine_config(exp.link_rate_bps, exp.probe_period_s, exp.workers, exp.shards));
 
   // Four sender/receiver pairs (paper §6.4), chosen across the continent.
-  const std::vector<sim::HostId> senders = sim::attach_hosts(
-      sim, {topo.find("Seattle"), topo.find("Sunnyvale"), topo.find("LosAngeles"),
-            topo.find("Denver")});
-  const std::vector<sim::HostId> receivers = sim::attach_hosts(
-      sim, {topo.find("NewYork"), topo.find("WashingtonDC"), topo.find("Atlanta"),
-            topo.find("Chicago")});
-
-  compiler::CompileResult compiled;
-  std::unique_ptr<pg::PolicyEvaluator> evaluator;
-  switch (exp.plane) {
-    case Plane::kShortestPath:
-      dataplane::install_shortest_path_network(sim);
-      break;
-    case Plane::kSpain:
-      dataplane::install_spain_network(sim, 4);
-      break;
-    case Plane::kContra: {
-      // "Contra (MU)" — pure minimum utilization; on a WAN the longer,
-      // less-utilized paths are exactly the point.
-      compiled = compiler::compile(lang::policies::min_util(), topo);
-      evaluator =
-          std::make_unique<pg::PolicyEvaluator>(compiled.graph, compiled.decomposition);
-      dataplane::ContraSwitchOptions options;
-      options.probe_period_s = exp.probe_period_s;
-      dataplane::install_contra_network(sim, compiled, *evaluator, options);
-      break;
-    }
-    default:
-      std::fprintf(stderr, "unsupported plane on Abilene\n");
-      std::abort();
-  }
-
-  sim::TransportManager transport(sim);
-  workload::WorkloadConfig wl;
-  wl.load = exp.load;
-  wl.sender_capacity_bps = exp.link_rate_bps;
-  wl.start = 5e-3;
-  wl.duration = exp.duration_s;
-  wl.seed = exp.seed;
-  wl.size_scale = exp.size_scale;
-  const auto flows = workload::generate_poisson(*exp.sizes, senders, receivers, wl);
-  workload::submit(transport, flows);
-
-  sim.start();
-  sim.run_until(wl.start);
-  const sim::LinkStats window_start = sim.aggregate_fabric_stats();
-  sim.run_until(wl.start + wl.duration);
-  const sim::LinkStats window_end = sim.aggregate_fabric_stats();
-  sim.run_until(wl.start + wl.duration + 0.4);
-
-  ExperimentResult result;
-  result.fct = metrics::summarize_fct(transport.completed_flows(), flows.size());
-  result.overhead = metrics::make_overhead_report(window_end, window_start);
-  result.fabric_drops = sim.aggregate_fabric_stats().drops;
-  result.events_processed = sim.events().events_processed();
-  return result;
-}
-
-inline ExperimentResult run_abilene_experiment_parallel(const AbileneExperiment& exp) {
-  const topology::Topology topo = topology::abilene(exp.link_rate_bps, 0.02);
-
-  sim::SimConfig config;
-  config.host_link_bps = exp.link_rate_bps;
-  config.util_tau_s = 2 * exp.probe_period_s;
-  config.workers = exp.workers;
-  config.shards = exp.shards;
-  sim::ParallelSimulator psim(topo, config);
-
   const std::vector<sim::HostId> senders = sim::attach_hosts(
       psim, {topo.find("Seattle"), topo.find("Sunnyvale"), topo.find("LosAngeles"),
              topo.find("Denver")});
@@ -386,6 +239,8 @@ inline ExperimentResult run_abilene_experiment_parallel(const AbileneExperiment&
   compiler::CompileResult compiled;
   std::unique_ptr<pg::PolicyEvaluator> evaluator;
   if (exp.plane == Plane::kContra) {
+    // "Contra (MU)" — pure minimum utilization; on a WAN the longer,
+    // less-utilized paths are exactly the point.
     compiled = compiler::compile(lang::policies::min_util(), topo);
     evaluator = std::make_unique<pg::PolicyEvaluator>(compiled.graph, compiled.decomposition);
   }

@@ -109,6 +109,10 @@ std::string to_string(const Policy& policy) {
 
 std::string to_string(const ExprPtr& expr) { return print_expr(expr); }
 
+std::ostream& operator<<(std::ostream& os, const Policy& policy) {
+  return os << to_string(policy);
+}
+
 std::string to_string(const TestPtr& test) { return print_test(test, 0); }
 
 std::string to_string(const RegexPtr& regex) { return print_regex(regex, 0); }

@@ -108,12 +108,11 @@ void ParallelSimulator::wait_done() {
 
 void ParallelSimulator::run_phase_shard(uint32_t s) {
   Shard& shard = *shards_[s];
-  using Clock = std::chrono::steady_clock;
   const bool prof = profiler_ != nullptr;
-  const Clock::time_point t0 = prof ? Clock::now() : Clock::time_point{};
+  const double t0 = prof ? profiler_->now_us() : 0.0;
   const uint64_t drained = drain_mailboxes_into(shard, shards_);
-  const Clock::time_point t1 = prof ? Clock::now() : Clock::time_point{};
-  if (tracing_ && drained > 0) {
+  const double t1 = prof ? profiler_->now_us() : 0.0;
+  if (buffer_trace_ && drained > 0) {
     obs::TraceRecord r;
     r.t = shard.target;
     r.ev = obs::Ev::kBarrier;
@@ -130,7 +129,7 @@ void ParallelSimulator::run_phase_shard(uint32_t s) {
   obs::Telemetry& tel = shard.sim.telemetry();
   tel.metrics().add(tel.core().par_epochs);
   const uint64_t processed = shard.sim.events().events_processed();
-  if (tracing_ && processed != shard.events_at_epoch_start) {
+  if (buffer_trace_ && processed != shard.events_at_epoch_start) {
     obs::TraceRecord r;
     r.t = shard.target;
     r.ev = obs::Ev::kEpoch;
@@ -142,9 +141,9 @@ void ParallelSimulator::run_phase_shard(uint32_t s) {
   if (prof) {
     // Track s is written only while shard s is dispatched, and phases are
     // fork-join separated — single writer per track at any instant.
-    const Clock::time_point t2 = Clock::now();
-    if (drained > 0) profiler_->add_span(s, "mailbox_drain", profile_us(t0), profile_us(t1) - profile_us(t0));
-    profiler_->add_span(s, "phase_run", profile_us(t1), profile_us(t2) - profile_us(t1));
+    const double t2 = profiler_->now_us();
+    if (drained > 0) profiler_->add_span(s, "mailbox_drain", t0, t1 - t0);
+    profiler_->add_span(s, "phase_run", t1, t2 - t1);
   }
 }
 
@@ -295,42 +294,33 @@ void ParallelSimulator::run_until(Time end) {
 
 void ParallelSimulator::run_span(Time end) {
   if (partition_.num_shards == 1) {
-    // Exactly the serial engine: same queue, same insertion order — except
-    // that snapshot ticks split the window (processing no extra events, so
-    // the event schedule is untouched).
-    Shard& shard = *shards_[0];
-    while (snapshot_out_ != nullptr && snapshot_interval_s_ > 0 &&
-           snapshot_tick_ * snapshot_interval_s_ <= end) {
+    // Exactly the serial engine: same queue, same insertion order, no phases.
+    // Snapshot ticks split the window but process no extra events, so the
+    // event schedule is untouched.
+    Simulator& sim = shards_[0]->sim;
+    while (snapshot_out_ != nullptr && snapshot_tick_ * snapshot_interval_s_ <= end) {
       const Time t = snapshot_tick_ * snapshot_interval_s_;
-      shard.target = t;
-      shard.inclusive = true;
-      run_phase_shard(0);
+      sim.run_until(t);
       *snapshot_out_ << merged_metrics_json(t) << '\n';
       ++snapshot_tick_;
     }
-    shard.target = end;
-    shard.inclusive = true;
-    run_phase_shard(0);
+    sim.run_until(end);
     now_ = std::max(now_, end);
     return;
   }
-  using Clock = std::chrono::steady_clock;
   while (true) {
-    const Clock::time_point p0 = profiler_ ? Clock::now() : Clock::time_point{};
+    const double p0 = profiler_ ? profiler_->now_us() : 0.0;
     const bool more = plan_phase(end);
     if (profiler_) {
-      const Clock::time_point p1 = Clock::now();
-      profiler_->add_span(profiler_->scheduler_track(), "plan", profile_us(p0),
-                          profile_us(p1) - profile_us(p0));
+      profiler_->add_span(profiler_->scheduler_track(), "plan", p0, profiler_->now_us() - p0);
     }
     if (!more) break;
     if (!dispatch_.empty()) {
-      const Clock::time_point e0 = profiler_ ? Clock::now() : Clock::time_point{};
+      const double e0 = profiler_ ? profiler_->now_us() : 0.0;
       execute_phase();
       if (profiler_) {
-        const Clock::time_point e1 = Clock::now();
-        profiler_->add_span(profiler_->scheduler_track(), "barrier", profile_us(e0),
-                            profile_us(e1) - profile_us(e0));
+        profiler_->add_span(profiler_->scheduler_track(), "barrier", e0,
+                            profiler_->now_us() - e0);
       }
     }
     if (snapshot_out_ != nullptr) {
@@ -351,10 +341,7 @@ void ParallelSimulator::run_span(Time end) {
   now_ = std::max(now_, end);
 }
 
-void ParallelSimulator::set_profiler(obs::EngineProfiler* profiler) {
-  profiler_ = profiler;
-  profile_epoch_ = std::chrono::steady_clock::now();
-}
+void ParallelSimulator::set_profiler(obs::EngineProfiler* profiler) { profiler_ = profiler; }
 
 void ParallelSimulator::set_metrics_snapshots(double interval_s, std::ostream* out) {
   snapshot_interval_s_ = interval_s;
@@ -386,9 +373,31 @@ void ParallelSimulator::start() {
   for (auto& shard : shards_) shard->sim.start();
 }
 
-void ParallelSimulator::enable_tracing() {
-  tracing_ = true;
-  for (auto& shard : shards_) shard->sim.telemetry().set_sink(&shard->trace);
+void ParallelSimulator::set_trace_sink(obs::TraceSink* sink) {
+  trace_sink_ = sink;
+  buffer_trace_ = sink != nullptr && shards_.size() > 1;
+  for (auto& shard : shards_) shard->sim.telemetry().set_sink(buffer_trace_ ? &shard->trace : sink);
+}
+
+void ParallelSimulator::flush_trace() {
+  if (trace_sink_ == nullptr) return;
+  if (buffer_trace_) {
+    std::vector<obs::TraceRecord> all;
+    size_t total = 0;
+    for (const auto& shard : shards_) total += shard->trace.records().size();
+    all.reserve(total);
+    // Concatenate in shard order, then stable-sort by time alone: equal-time
+    // records keep (shard, emission index) order — the engine's canonical tie
+    // order.
+    for (auto& shard : shards_) {
+      all.insert(all.end(), shard->trace.records().begin(), shard->trace.records().end());
+      shard->trace.clear();
+    }
+    std::stable_sort(all.begin(), all.end(), [](const obs::TraceRecord& a,
+                                                const obs::TraceRecord& b) { return a.t < b.t; });
+    for (const obs::TraceRecord& rec : all) trace_sink_->write(rec);
+  }
+  trace_sink_->flush();
 }
 
 void ParallelSimulator::fail_cable(topology::LinkId link) {
@@ -485,22 +494,6 @@ uint64_t ParallelSimulator::events_clamped() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->sim.events().events_clamped();
   return total;
-}
-
-std::vector<obs::TraceRecord> ParallelSimulator::merged_trace() const {
-  std::vector<obs::TraceRecord> all;
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->trace.records().size();
-  all.reserve(total);
-  // Concatenate in shard order, then stable-sort by time alone: equal-time
-  // records keep (shard, emission index) order — the engine's canonical tie
-  // order.
-  for (const auto& shard : shards_) {
-    all.insert(all.end(), shard->trace.records().begin(), shard->trace.records().end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const obs::TraceRecord& a, const obs::TraceRecord& b) { return a.t < b.t; });
-  return all;
 }
 
 std::string ParallelSimulator::merged_metrics_json(double t) const {

@@ -40,7 +40,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -110,15 +109,20 @@ class ParallelSimulator {
   /// Arms device timers on every shard.
   void start();
 
-  /// Attaches a per-shard in-memory trace buffer to every shard's telemetry
-  /// (merged_trace() reads them back). Call before start().
-  void enable_tracing();
+  /// Routes the control-plane trace into `sink` (not owned; nullptr
+  /// detaches). Call before start(). With one shard records reach the sink
+  /// as they are emitted — merge order is emission order and there are no
+  /// barriers, so no `epoch`/`barrier` records either. With more shards each
+  /// shard buffers its records plus per-phase `epoch`/`barrier` records, and
+  /// flush_trace() writes the merge in (t, shard, emission index) order.
+  void set_trace_sink(obs::TraceSink* sink);
+  /// Writes any buffered multi-shard records into the sink, then flushes it.
+  void flush_trace();
 
   /// Attaches a wall-clock engine profiler (obs::EngineProfiler built with
   /// num_shards()+1 tracks: one per shard plus the scheduler track). Spans:
   /// per-shard `mailbox_drain` / `phase_run`, scheduler-track `plan` /
-  /// `barrier`. Opt-in; one null-check per phase when absent. Call before
-  /// run_until; timestamps are relative to the call.
+  /// `barrier`. Opt-in; one null-check per phase when absent.
   void set_profiler(obs::EngineProfiler* profiler);
 
   /// Periodic metrics snapshots under the phase scheduler: one merged
@@ -172,8 +176,6 @@ class ParallelSimulator {
   uint64_t events_processed() const;
   uint64_t events_clamped() const;
 
-  /// All shard trace buffers merged in (t, shard, emission index) order.
-  std::vector<obs::TraceRecord> merged_trace() const;
   /// Metrics snapshot with per-shard registries folded together (counters
   /// and histograms sum, gauges max).
   std::string merged_metrics_json(double t) const;
@@ -204,14 +206,10 @@ class ParallelSimulator {
   Time next_boundary_ = 0.0;  ///< legacy grid mode: first unreached boundary
   uint64_t phases_ = 0;
   uint64_t solo_phases_ = 0;
-  bool tracing_ = false;
+  obs::TraceSink* trace_sink_ = nullptr;  ///< see set_trace_sink; not owned
+  bool buffer_trace_ = false;  ///< >1 shard: per-shard buffers + epoch/barrier records
 
-  // Engine profiling (opt-in; see set_profiler).
-  obs::EngineProfiler* profiler_ = nullptr;
-  std::chrono::steady_clock::time_point profile_epoch_{};
-  double profile_us(std::chrono::steady_clock::time_point t) const {
-    return std::chrono::duration<double, std::micro>(t - profile_epoch_).count();
-  }
+  obs::EngineProfiler* profiler_ = nullptr;  ///< opt-in; see set_profiler
 
   // Periodic merged snapshots (opt-in; see set_metrics_snapshots).
   std::ostream* snapshot_out_ = nullptr;

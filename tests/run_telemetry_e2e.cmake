@@ -11,6 +11,9 @@
 # run manifest sits next to the trace with a config hash, the engine profile
 # is loadable Chrome-trace JSON, and (when python3 is available)
 # tools/telemetry_report.py digests everything and validates the manifest.
+# A second run on several shards checks what must not depend on the shard
+# count: the number of periodic metrics snapshots and the run-window spans
+# of the engine profile.
 
 if(NOT DEFINED CONTRASIM OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "need -DCONTRASIM=<binary> and -DWORK_DIR=<dir>")
@@ -24,6 +27,9 @@ set(flows "${WORK_DIR}/flows.jsonl")
 set(paths "${WORK_DIR}/paths.jsonl")
 set(links "${WORK_DIR}/links.jsonl")
 set(profile "${WORK_DIR}/profile.json")
+set(metrics "${WORK_DIR}/metrics.jsonl")
+set(sharded_metrics "${WORK_DIR}/sharded_metrics.jsonl")
+set(sharded_profile "${WORK_DIR}/sharded_profile.json")
 
 # Small leaf-spine fabric, slow probes, short workload: the run stays fast
 # while still exercising probes, traffic, and a mid-run cable failure.
@@ -39,12 +45,54 @@ execute_process(
           --paths-out "${paths}" --path-sample-n 4
           --links-out "${links}" --link-sample-us 500
           --engine-profile "${profile}"
+          --metrics-json "${metrics}" --metrics-interval-ms 1
   RESULT_VARIABLE run_result
   OUTPUT_VARIABLE run_output
   ERROR_VARIABLE run_output)
 if(NOT run_result EQUAL 0)
   message(FATAL_ERROR "contrasim failed (${run_result}):\n${run_output}")
 endif()
+
+execute_process(
+  COMMAND "${CONTRASIM}"
+          --builtin leaf-spine:3x3 --plane contra
+          --policy "minimize(path.util)"
+          --load 0.2 --duration-ms 2 --seed 1
+          --probe-period-us 500
+          --fail leaf0-spine0 --fail-at-ms 11
+          --shards 4 --workers 2
+          --engine-profile "${sharded_profile}"
+          --metrics-json "${sharded_metrics}" --metrics-interval-ms 1
+  RESULT_VARIABLE sharded_result
+  OUTPUT_VARIABLE sharded_output
+  ERROR_VARIABLE sharded_output)
+if(NOT sharded_result EQUAL 0)
+  message(FATAL_ERROR "sharded contrasim failed (${sharded_result}):\n${sharded_output}")
+endif()
+if(sharded_output MATCHES "engine  : 1 shards")
+  message(FATAL_ERROR "--shards 4 run did not shard:\n${sharded_output}")
+endif()
+
+# Snapshot k is stamped t = k x 1 ms; the run ends at 10 ms warm-up + 2 ms
+# traffic + 250 ms drain = 262 ms, so 262 periodic lines plus the final one,
+# on one shard and on several.
+foreach(file "${metrics}" "${sharded_metrics}")
+  file(STRINGS "${file}" snapshot_lines)
+  list(LENGTH snapshot_lines num_snapshots)
+  if(NOT num_snapshots EQUAL 263)
+    message(FATAL_ERROR "expected 263 metrics snapshots in ${file}, got ${num_snapshots}")
+  endif()
+endforeach()
+
+# Every engine profile has the three run-window spans, whatever the shards.
+foreach(file "${profile}" "${sharded_profile}")
+  file(READ "${file}" profile_text)
+  foreach(span "warmup" "traffic" "drain")
+    if(NOT profile_text MATCHES "\"name\":\"${span}\"")
+      message(FATAL_ERROR "engine profile ${file} has no '${span}' span")
+    endif()
+  endforeach()
+endforeach()
 
 # contrasim reports the convergence table derived from the trace.
 if(NOT run_output MATCHES "convergence:")

@@ -6,6 +6,7 @@
 #include "analysis/monotonicity.h"
 #include "lang/parser.h"
 #include "lang/policies.h"
+#include "lang/printer.h"
 
 namespace contra::analysis {
 namespace {

@@ -426,8 +426,9 @@ ChurnRun run_parallel_churn(const Topology& topo, const compiler::CompileResult&
   SimConfig config;
   config.shards = shards;
   config.workers = workers;
+  obs::MemoryTraceSink trace;  // outlives psim
   ParallelSimulator psim(topo, config);
-  psim.enable_tracing();
+  psim.set_trace_sink(&trace);
   dataplane::ContraSwitchOptions options;
   options.probe_period_s = kPeriod;
   psim.for_each_shard([&](Simulator& shard_sim) {
@@ -450,7 +451,8 @@ ChurnRun run_parallel_churn(const Topology& topo, const compiler::CompileResult&
   ChurnRun out;
   char line[obs::kMaxLineBytes];
   obs::ConvergenceTracker tracker;
-  for (const obs::TraceRecord& r : psim.merged_trace()) {
+  psim.flush_trace();
+  for (const obs::TraceRecord& r : trace.records()) {
     tracker.observe(r);
     const size_t len = obs::format_jsonl(r, line);
     out.trace.append(line, len);

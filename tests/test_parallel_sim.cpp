@@ -358,8 +358,19 @@ struct ScenarioResult {
   uint32_t num_shards = 1;
   uint32_t cut_links = 0;
   std::string trace;   ///< merged JSONL, when requested
+  size_t trace_streamed = 0;  ///< records in the sink when the run returned
   std::string tables;  ///< concatenated FwdT/BestT renders, when requested
 };
+
+std::string trace_jsonl(const std::vector<obs::TraceRecord>& records) {
+  std::string out;
+  char line[obs::kMaxLineBytes];
+  for (const obs::TraceRecord& rec : records) {
+    out.append(line, obs::format_jsonl(rec, line));
+    out += '\n';
+  }
+  return out;
+}
 
 constexpr double kScenarioEnd = 2e-3 + 4e-3 + 0.05;
 
@@ -397,8 +408,11 @@ std::string render_all_tables(const topology::Topology& topo,
 ScenarioResult run_serial_scenario(const topology::Topology& topo,
                                    const compiler::CompileResult& compiled,
                                    const pg::PolicyEvaluator& evaluator, bool abilene,
-                                   uint64_t seed, bool want_tables = false) {
+                                   uint64_t seed, bool want_tables = false,
+                                   bool want_trace = false) {
   Simulator sim(topo, golden_sim_config(abilene));
+  obs::MemoryTraceSink trace;
+  if (want_trace) sim.telemetry().set_sink(&trace);
   std::vector<HostId> senders, receivers;
   if (abilene) {
     senders = attach_hosts(sim, {topo.find("Seattle"), topo.find("Sunnyvale")});
@@ -426,6 +440,8 @@ ScenarioResult run_serial_scenario(const topology::Topology& topo,
     per_link.push_back(sim.link(id).stats());
   }
   out.digest = canonical_digest(out.events, transport.completed_flows(), per_link);
+  out.trace = trace_jsonl(trace.records());
+  sim.telemetry().set_sink(nullptr);
   if (want_tables) {
     out.tables = render_all_tables(
         topo, [&](topology::NodeId) -> Simulator& { return sim; }, kScenarioEnd);
@@ -442,8 +458,9 @@ ScenarioResult run_parallel_scenario(const topology::Topology& topo,
   SimConfig config = golden_sim_config(abilene);
   config.shards = shards;
   config.workers = workers;
+  obs::MemoryTraceSink trace;  // outlives psim
   ParallelSimulator psim(topo, config);
-  if (want_trace) psim.enable_tracing();
+  if (want_trace) psim.set_trace_sink(&trace);
 
   std::vector<HostId> senders, receivers;
   if (abilene) {
@@ -490,13 +507,9 @@ ScenarioResult run_parallel_scenario(const topology::Topology& topo,
     }
   }
   out.digest = canonical_digest(out.events, transport.completed_flows(), per_link);
-  if (want_trace) {
-    char line[obs::kMaxLineBytes];
-    for (const obs::TraceRecord& rec : psim.merged_trace()) {
-      out.trace.append(line, obs::format_jsonl(rec, line));
-      out.trace += '\n';
-    }
-  }
+  out.trace_streamed = trace.records().size();
+  psim.flush_trace();
+  out.trace = trace_jsonl(trace.records());
   if (want_tables) {
     out.tables = render_all_tables(
         topo,
@@ -526,16 +539,22 @@ TEST(ParallelDeterminism, SingleShardMatchesSerialEngine) {
     const topology::Topology& topo = abilene ? fx.abilene : fx.fat_tree;
     const compiler::CompileResult& compiled = abilene ? fx.abi_compiled : fx.fat_compiled;
     const pg::PolicyEvaluator& evaluator = abilene ? fx.abi_eval : fx.fat_eval;
-    const ScenarioResult serial =
-        run_serial_scenario(topo, compiled, evaluator, abilene, 1, /*want_tables=*/true);
+    const ScenarioResult serial = run_serial_scenario(
+        topo, compiled, evaluator, abilene, 1, /*want_tables=*/true, /*want_trace=*/true);
     const ScenarioResult parallel =
         run_parallel_scenario(topo, compiled, evaluator, abilene, 1, /*shards=*/1,
-                              /*workers=*/1, false, /*want_tables=*/true);
+                              /*workers=*/1, /*want_trace=*/true, /*want_tables=*/true);
     EXPECT_EQ(parallel.num_shards, 1u);
     EXPECT_EQ(serial.events, parallel.events) << (abilene ? "abilene" : "fat-tree");
     EXPECT_EQ(serial.digest, parallel.digest) << (abilene ? "abilene" : "fat-tree");
     EXPECT_EQ(serial.tables, parallel.tables) << (abilene ? "abilene" : "fat-tree");
     EXPECT_GT(serial.completed_flows, 0u);
+    // One shard streams the trace record for record, with no epoch/barrier
+    // records, and every record reached the sink while the run was going.
+    EXPECT_FALSE(serial.trace.empty());
+    EXPECT_EQ(serial.trace, parallel.trace) << (abilene ? "abilene" : "fat-tree");
+    EXPECT_EQ(parallel.trace_streamed,
+              static_cast<size_t>(std::count(parallel.trace.begin(), parallel.trace.end(), '\n')));
   }
 }
 

@@ -46,9 +46,9 @@ struct SweepConfig {
   double duration_s = 10e-3;
   /// > 0: run each seed on the sharded parallel engine with this many
   /// worker threads (deterministic; orthogonal to the seed-level --threads
-  /// pool). 0 = serial engine.
+  /// pool). 0 = one shard, the serial engine.
   int workers = 0;
-  int shards = 0;  ///< parallel engine shard count; 0 = topology default
+  int shards = 0;  ///< shard count when workers > 0; 0 = topology default
 };
 
 SeedResult run_one(const SweepConfig& cfg, uint64_t seed) {

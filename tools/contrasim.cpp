@@ -8,7 +8,6 @@
 //
 // Hosts attach to fat-tree edge switches / leaf-spine leaves automatically;
 // on arbitrary topologies one host attaches to every switch.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -34,7 +33,6 @@
 #include "oracle/audit.h"
 #include "sim/churn_engine.h"
 #include "sim/fluid.h"
-#include "sim/host.h"
 #include "sim/parallel_simulator.h"
 #include "sim/transport.h"
 #include "util/logging.h"
@@ -75,11 +73,12 @@ int usage(const char* argv0) {
                "          [--stream]                    (lazy streaming workload generation --\n"
                "                                         O(senders) memory, own deterministic\n"
                "                                         arrival sequence; for 1M-flow runs)\n"
-               "          [--workers <n>]               (sharded parallel engine; see\n"
+               "          [--workers <n>]               (worker threads of the sharded engine,\n"
                "                                         DESIGN.md s8 -- deterministic for any n)\n"
-               "          [--shards <n>]                (override shard count; default 0 auto-\n"
-               "                                         sizes to topology+cores -- pass an\n"
-               "                                         explicit n to reproduce a schedule\n"
+               "          [--shards <n>]                (shard count; default 1 = the serial\n"
+               "                                         engine, or 0 = auto-sized to topology+\n"
+               "                                         cores when --workers is given -- pass\n"
+               "                                         an explicit n to reproduce a schedule\n"
                "                                         across machines)\n"
                "          [--fail <nodeA>-<nodeB>]      (fail a cable pre-traffic)\n"
                "          [--fail-at-ms <t>]            (delay --fail until t)\n"
@@ -90,8 +89,8 @@ int usage(const char* argv0) {
                "          [--telemetry-out <trace.jsonl>]  (control-plane trace +\n"
                "                                            run manifest + convergence table)\n"
                "          [--metrics-json <file|->]     (final metrics snapshot)\n"
-               "          [--metrics-interval-ms <t>]   (periodic snapshots, needs --metrics-json;\n"
-               "                                         parallel engine emits at phase boundaries)\n"
+               "          [--metrics-interval-ms <t>]   (snapshot k stamped t = k x interval,\n"
+               "                                         needs --metrics-json)\n"
                "          [--flows-out <flows.jsonl>]   (per-flow lifecycle records + FCT\n"
                "                                         summary in <file>.summary.json)\n"
                "          [--paths-out <paths.jsonl>]   (sampled INT-style per-hop path records)\n"
@@ -109,25 +108,10 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Appends one metrics snapshot line per interval; reschedules itself. The
-/// capture is a single pointer so the handler stays within the event queue's
-/// inline capacity.
-struct MetricsExporter {
-  sim::Simulator* sim = nullptr;
-  std::ostream* out = nullptr;
-  double interval_s = 0.0;
-
-  void tick() {
-    *out << sim->telemetry().metrics().snapshot_json(sim->now()) << "\n";
-    MetricsExporter* self = this;
-    sim->events().schedule_in(interval_s, [self] { self->tick(); });
-  }
-};
-
 /// Samples util EWMA + queue depth for a fixed set of links into a
-/// LinkTimeline every interval; reschedules itself (single-pointer capture,
-/// same discipline as MetricsExporter). Under the parallel engine one
-/// sampler runs per shard over the links that shard owns, so shard
+/// LinkTimeline every interval; reschedules itself. The capture is a single
+/// pointer so the handler stays within the event queue's inline capacity.
+/// One sampler runs per shard over the links that shard owns, so shard
 /// timelines stay disjoint and merge by union.
 struct LinkSampler {
   sim::Simulator* sim = nullptr;
@@ -150,7 +134,7 @@ struct LinkSampler {
   }
 };
 
-/// The dataplane-telemetry flag set shared by the serial and parallel paths.
+/// The dataplane-telemetry flag set.
 struct TelemetryOpts {
   std::string flows_path;
   std::string paths_path;
@@ -277,7 +261,7 @@ void run_optimality_audit(const topology::Topology& topo, const compiler::Compil
   std::printf("audit   : %s\n", result.to_string().c_str());
 }
 
-/// TransportConfig from the hybrid-engine flags (shared by both engines).
+/// TransportConfig from the hybrid-engine flags.
 sim::TransportConfig transport_config_from_args(const tools::Args& args) {
   sim::TransportConfig config;
   config.hybrid = args.has("hybrid");
@@ -301,15 +285,6 @@ void print_fluid_stats(const sim::FluidEngine* fluid) {
               static_cast<unsigned long long>(fluid->completion_digest()));
 }
 
-std::vector<sim::HostId> attach_hosts_auto(sim::Simulator& sim) {
-  std::vector<sim::HostId> hosts = sim::attach_hosts_to_fat_tree_edges(sim, 2);
-  if (!hosts.empty()) return hosts;
-  hosts = sim::attach_hosts_to_leaves(sim, 2);
-  if (!hosts.empty()) return hosts;
-  for (topology::NodeId n = 0; n < sim.topo().num_nodes(); ++n) hosts.push_back(sim.add_host(n));
-  return hosts;
-}
-
 std::vector<sim::HostId> attach_hosts_auto(sim::ParallelSimulator& psim) {
   std::vector<sim::HostId> hosts = sim::attach_hosts_to_fat_tree_edges(psim, 2);
   if (!hosts.empty()) return hosts;
@@ -319,10 +294,6 @@ std::vector<sim::HostId> attach_hosts_auto(sim::ParallelSimulator& psim) {
   return hosts;
 }
 
-/// The --workers/--shards path: same experiment on the sharded parallel
-/// engine (DESIGN.md §8). Deterministic for any worker count; periodic
-/// metrics snapshots emit at phase boundaries once every shard has
-/// committed past the tick (workers-invariant — see OBSERVABILITY.md).
 /// Loads --churn-spec when present. Returns 0 with *out reset when the flag
 /// is absent, 0 with a parsed engine on success, 1 (after printing) on error.
 int load_churn_spec(const tools::Args& args, const topology::Topology& topo,
@@ -351,7 +322,11 @@ int load_churn_spec(const tools::Args& args, const topology::Topology& topo,
   return 0;
 }
 
-int run_parallel(const tools::Args& args, const topology::Topology& topo, const char* argv0) {
+/// Runs the experiment on the sharded engine (DESIGN.md §8). Without
+/// --workers or --shards it runs on exactly one shard, which is the serial
+/// engine; --workers alone auto-sizes the shard count. Deterministic for any
+/// worker count at a fixed shard count.
+int run(const tools::Args& args, const topology::Topology& topo, const char* argv0) {
   const double link_bps = args.get_double("link-gbps", 10.0) * 1e9;
   const double load = args.get_double("load", 0.5);
   const double duration_s = args.get_double("duration-ms", 30.0) * 1e-3;
@@ -361,11 +336,17 @@ int run_parallel(const tools::Args& args, const topology::Topology& topo, const 
   const std::string plane = args.get("plane", "contra");
   const TelemetryOpts tel = TelemetryOpts::from_args(args);
 
+  // Declared before the engine so the sinks outlive every shard's telemetry.
+  std::ofstream trace_file;
+  std::unique_ptr<obs::JsonlTraceSink> trace_sink;
+  obs::ConvergenceTracker convergence;
+  obs::FanoutSink fanout;
+
   sim::SimConfig config;
   config.host_link_bps = link_bps;
   config.util_tau_s = 2 * probe_period_s;
   config.workers = static_cast<uint32_t>(args.get_int("workers", 1));
-  config.shards = static_cast<uint32_t>(args.get_int("shards", 0));
+  config.shards = static_cast<uint32_t>(args.get_int("shards", args.has("workers") ? 0 : 1));
   sim::ParallelSimulator psim(topo, config);
   const std::vector<sim::HostId> hosts = attach_hosts_auto(psim);
   if (hosts.size() < 2) {
@@ -398,7 +379,17 @@ int run_parallel(const tools::Args& args, const topology::Topology& topo, const 
   if (churn) churn->arm(psim);
 
   const std::string trace_path = args.get("telemetry-out");
-  if (!trace_path.empty()) psim.enable_tracing();
+  if (!trace_path.empty()) {
+    trace_file.open(trace_path);
+    if (!trace_file) {
+      std::fprintf(stderr, "cannot open --telemetry-out file: %s\n", trace_path.c_str());
+      return 1;
+    }
+    trace_sink = std::make_unique<obs::JsonlTraceSink>(trace_file);
+    fanout.add(trace_sink.get());
+    fanout.add(&convergence);
+    psim.set_trace_sink(&fanout);
+  }
 
   const double metrics_interval_s = args.get_double("metrics-interval-ms", 0.0) * 1e-3;
   const std::string metrics_path = args.get("metrics-json");
@@ -477,8 +468,8 @@ int run_parallel(const tools::Args& args, const topology::Topology& topo, const 
 
   workload::WorkloadConfig wl;
   wl.load = load;
-  wl.sender_capacity_bps = link_bps / 4;
-  wl.start = 20 * probe_period_s;
+  wl.sender_capacity_bps = link_bps / 4;  // conservative fair share
+  wl.start = 20 * probe_period_s;         // converge first
   wl.duration = duration_s;
   wl.seed = seed;
   wl.size_scale = size_scale;
@@ -543,28 +534,39 @@ int run_parallel(const tools::Args& args, const topology::Topology& topo, const 
                 static_cast<unsigned long long>(manifest.config_hash()));
   }
 
+  // The three run windows are coarse spans on the scheduler track.
+  const auto profiled = [&](const char* name, auto&& fn) {
+    const double t0 = profiler ? profiler->now_us() : 0.0;
+    fn();
+    if (profiler) profiler->add_span(profiler->scheduler_track(), name, t0, profiler->now_us() - t0);
+  };
+
   psim.start();
-  psim.run_until(wl.start);
+  profiled("warmup", [&] { psim.run_until(wl.start); });
   const sim::LinkStats window_start = psim.aggregate_fabric_stats();
-  if (stream) {
-    workload::pump_stream(transport, *stream, wl.start + wl.duration,
-                          std::max(wl.duration / 256, 1e-3),
-                          [&](sim::Time t) { psim.run_until(t); });
-  } else {
-    psim.run_until(wl.start + wl.duration);
-  }
+  profiled("traffic", [&] {
+    if (stream) {
+      workload::pump_stream(transport, *stream, wl.start + wl.duration,
+                            std::max(wl.duration / 256, 1e-3),
+                            [&](sim::Time t) { psim.run_until(t); });
+    } else {
+      psim.run_until(wl.start + wl.duration);
+    }
+  });
   const sim::LinkStats window_end = psim.aggregate_fabric_stats();
-  psim.run_until(wl.start + wl.duration + 0.25);
+  profiled("drain", [&] { psim.run_until(wl.start + wl.duration + 0.25); });
 
   const size_t num_flows = stream ? stream->emitted() : flows.size();
   const auto fct = metrics::summarize_fct(transport.completed_flows(), num_flows);
   const auto overhead = metrics::make_overhead_report(window_end, window_start);
-  std::printf("engine  : %u shards x %u workers (%u fused at partition), "
-              "min cut %.3g us, %llu phases (%llu solo)\n",
-              psim.num_shards(), psim.num_workers(), psim.partition().fused_shards,
-              psim.epoch_width_s() * 1e6,
-              static_cast<unsigned long long>(psim.epochs_completed()),
-              static_cast<unsigned long long>(psim.solo_phases()));
+  if (args.has("workers") || args.has("shards")) {  // a default run prints no engine line
+    std::printf("engine  : %u shards x %u workers (%u fused at partition), "
+                "min cut %.3g us, %llu phases (%llu solo)\n",
+                psim.num_shards(), psim.num_workers(), psim.partition().fused_shards,
+                psim.epoch_width_s() * 1e6,
+                static_cast<unsigned long long>(psim.epochs_completed()),
+                static_cast<unsigned long long>(psim.solo_phases()));
+  }
   std::printf("plane=%s load=%.0f%% flows=%zu\n", plane.c_str(), load * 100, num_flows);
   std::printf("FCT     : %s\n", fct.to_string().c_str());
   std::printf("traffic : %s\n", overhead.to_string().c_str());
@@ -596,20 +598,9 @@ int run_parallel(const tools::Args& args, const topology::Topology& topo, const 
   }
 
   if (!trace_path.empty()) {
-    std::ofstream trace_file(trace_path);
-    if (!trace_file) {
-      std::fprintf(stderr, "cannot open --telemetry-out file: %s\n", trace_path.c_str());
-      return 1;
-    }
-    obs::JsonlTraceSink trace_sink(trace_file);
-    obs::ConvergenceTracker convergence;
-    for (const obs::TraceRecord& rec : psim.merged_trace()) {
-      trace_sink.write(rec);
-      convergence.write(rec);
-    }
-    trace_sink.flush();
+    psim.flush_trace();
     std::printf("trace   : %llu records -> %s\n",
-                static_cast<unsigned long long>(trace_sink.records_written()),
+                static_cast<unsigned long long>(trace_sink->records_written()),
                 trace_path.c_str());
     std::printf("%s", convergence.report().to_string().c_str());
   }
@@ -630,270 +621,5 @@ int main(int argc, char** argv) {
     return usage(argv[0]);
   }
 
-  if (args.has("workers") || args.has("shards")) return run_parallel(args, *topo, argv[0]);
-
-  const double link_bps = args.get_double("link-gbps", 10.0) * 1e9;
-  const double load = args.get_double("load", 0.5);
-  const double duration_s = args.get_double("duration-ms", 30.0) * 1e-3;
-  const double probe_period_s = args.get_double("probe-period-us", 256.0) * 1e-6;
-  const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 1));
-  const double size_scale = args.get_double("size-scale", 0.1);
-  const std::string plane = args.get("plane", "contra");
-  const TelemetryOpts tel = TelemetryOpts::from_args(args);
-
-  sim::SimConfig config;
-  config.host_link_bps = link_bps;
-  config.util_tau_s = 2 * probe_period_s;
-  sim::Simulator sim(*topo, config);
-  const std::vector<sim::HostId> hosts = attach_hosts_auto(sim);
-  if (hosts.size() < 2) {
-    std::fprintf(stderr, "topology too small to host traffic\n");
-    return 1;
-  }
-
-  topology::LinkId fail_link = topology::kInvalidLink;
-  double fail_at_s = 0.0;
-  if (args.has("fail")) {
-    const auto parts = util::split(args.get("fail"), '-');
-    if (parts.size() != 2 || topo->find(parts[0]) == topology::kInvalidNode ||
-        topo->find(parts[1]) == topology::kInvalidNode ||
-        topo->link_between(topo->find(parts[0]), topo->find(parts[1])) ==
-            topology::kInvalidLink) {
-      std::fprintf(stderr, "bad --fail spec '%s' (want <nodeA>-<nodeB>)\n",
-                   args.get("fail").c_str());
-      return 1;
-    }
-    fail_link = topo->link_between(topo->find(parts[0]), topo->find(parts[1]));
-    fail_at_s = args.get_double("fail-at-ms", 0.0) * 1e-3;
-    if (fail_at_s > 0) {
-      sim::Simulator* simp = &sim;
-      const topology::LinkId link = fail_link;
-      sim.events().schedule_in(fail_at_s, [simp, link] { simp->fail_cable(link); });
-    } else {
-      sim.fail_cable(fail_link);
-    }
-  }
-
-  std::unique_ptr<sim::ChurnEngine> churn;
-  if (load_churn_spec(args, *topo, &churn) != 0) return 1;
-  if (churn) churn->arm(sim);
-
-  // ----- telemetry ----------------------------------------------------------
-  const std::string trace_path = args.get("telemetry-out");
-  std::ofstream trace_file;
-  std::unique_ptr<obs::JsonlTraceSink> trace_sink;
-  obs::ConvergenceTracker convergence;
-  obs::FanoutSink fanout;
-  if (!trace_path.empty()) {
-    trace_file.open(trace_path);
-    if (!trace_file) {
-      std::fprintf(stderr, "cannot open --telemetry-out file: %s\n", trace_path.c_str());
-      return 1;
-    }
-    trace_sink = std::make_unique<obs::JsonlTraceSink>(trace_file);
-    fanout.add(trace_sink.get());
-    fanout.add(&convergence);
-    sim.telemetry().set_sink(&fanout);
-  }
-
-  const double metrics_interval_s = args.get_double("metrics-interval-ms", 0.0) * 1e-3;
-  const std::string metrics_path = args.get("metrics-json");
-  std::ofstream metrics_file;
-  std::ostream* metrics_out = nullptr;
-  if (!metrics_path.empty()) {
-    if (metrics_path == "-") {
-      metrics_out = &std::cout;
-    } else {
-      metrics_file.open(metrics_path);
-      if (!metrics_file) {
-        std::fprintf(stderr, "cannot open --metrics-json file: %s\n", metrics_path.c_str());
-        return 1;
-      }
-      metrics_out = &metrics_file;
-    }
-  } else if (metrics_interval_s > 0) {
-    std::fprintf(stderr, "--metrics-interval-ms needs --metrics-json <file|->\n");
-    return 1;
-  }
-  MetricsExporter exporter{&sim, metrics_out, metrics_interval_s};
-  if (metrics_out != nullptr && metrics_interval_s > 0) {
-    MetricsExporter* ep = &exporter;
-    sim.events().schedule_in(metrics_interval_s, [ep] { ep->tick(); });
-  }
-
-  compiler::CompileResult compiled;
-  std::unique_ptr<pg::PolicyEvaluator> evaluator;
-  std::string policy_text;
-  if (plane == "contra" || tel.audit) {
-    const std::string policy = args.get("policy", "minimize(path.util)");
-    policy_text = policy;
-    try {
-      compiled = compiler::compile(policy, *topo);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "compile error: %s\n", e.what());
-      return 1;
-    }
-    std::printf("compiled: %s\n", compiled.summary().c_str());
-    evaluator = std::make_unique<pg::PolicyEvaluator>(compiled.graph, compiled.decomposition);
-  }
-  if (plane == "contra") {
-    dataplane::ContraSwitchOptions options;
-    options.probe_period_s = std::max(probe_period_s, compiled.min_probe_period_s);
-    options.triggered_updates = args.has("triggered");
-    options.keepalive_rounds = static_cast<uint32_t>(
-        args.get_int("keepalive-rounds", static_cast<int64_t>(options.keepalive_rounds)));
-    options.holddown_periods = args.get_double("holddown-periods", options.holddown_periods);
-    options.util_quantum = args.get_double("util-quantum", options.util_quantum);
-    dataplane::install_contra_network(sim, compiled, *evaluator, options);
-  } else if (plane == "ecmp") {
-    dataplane::install_ecmp_network(sim);
-  } else if (plane == "hula") {
-    dataplane::HulaOptions options;
-    options.probe_period_s = probe_period_s;
-    dataplane::install_hula_network(sim, options);
-  } else if (plane == "spain") {
-    dataplane::install_spain_network(sim);
-  } else if (plane == "sp") {
-    dataplane::install_shortest_path_network(sim);
-  } else {
-    std::fprintf(stderr, "unknown --plane '%s'\n", plane.c_str());
-    return usage(argv[0]);
-  }
-
-  const workload::EmpiricalCdf& sizes = args.get("workload", "web-search") == "cache"
-                                            ? workload::cache_flow_sizes()
-                                            : workload::web_search_flow_sizes();
-  std::vector<sim::HostId> senders, receivers;
-  for (sim::HostId h : hosts) (h % 2 ? receivers : senders).push_back(h);
-
-  obs::FlowTracker flow_tracker;  // declared before transport: outlives it
-  sim::TransportManager transport(sim, transport_config_from_args(args));
-  if (tel.flow_tracking()) {
-    transport.set_flow_tracker(&flow_tracker);
-    transport.set_path_sample_every(tel.path_sample_every);
-    sim.set_flow_telemetry(true);
-  }
-
-  workload::WorkloadConfig wl;
-  wl.load = load;
-  wl.sender_capacity_bps = link_bps / 4;  // conservative fair share
-  wl.start = 20 * probe_period_s;         // converge first
-  wl.duration = duration_s;
-  wl.seed = seed;
-  wl.size_scale = size_scale;
-  std::unique_ptr<workload::FlowStream> stream;
-  std::vector<workload::GeneratedFlow> flows;
-  if (args.has("stream")) {
-    stream = std::make_unique<workload::FlowStream>(sizes, senders, receivers, wl);
-  } else {
-    flows = workload::generate_poisson(sizes, senders, receivers, wl);
-    workload::submit(transport, flows);
-  }
-
-  obs::LinkTimeline link_timeline;
-  LinkSampler link_sampler;
-  if (tel.link_sampling()) {
-    link_timeline =
-        obs::LinkTimeline(topo->num_links(), tel.timeline_capacity(wl.start + wl.duration + 0.3));
-    link_sampler.sim = &sim;
-    link_sampler.timeline = &link_timeline;
-    link_sampler.interval_s = tel.link_sample_s;
-    for (topology::LinkId l = 0; l < topo->num_links(); ++l) link_sampler.links.push_back(l);
-    link_sampler.arm();
-  }
-
-  std::unique_ptr<obs::EngineProfiler> profiler;
-  std::chrono::steady_clock::time_point profile_epoch{};
-  if (!tel.profile_path.empty()) {
-    // The serial engine has no phases; profile the three run windows as
-    // coarse spans on a single track.
-    profiler = std::make_unique<obs::EngineProfiler>(1);
-    profile_epoch = std::chrono::steady_clock::now();
-  }
-  const auto profiled = [&](const char* name, auto&& fn) {
-    if (!profiler) {
-      fn();
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    profiler->add_span(0, name,
-                       std::chrono::duration<double, std::micro>(t0 - profile_epoch).count(),
-                       std::chrono::duration<double, std::micro>(t1 - t0).count());
-  };
-
-  if (!trace_path.empty()) {
-    obs::RunManifest manifest = obs::RunManifest::make("contrasim");
-    manifest.topology = args.has("topo-file")   ? args.get("topo-file")
-                        : args.has("topology") ? args.get("topology")
-                                               : args.get("builtin", "diamond");
-    manifest.nodes = topo->num_nodes();
-    manifest.links = topo->num_links();
-    manifest.plane = plane;
-    manifest.policy = policy_text;
-    manifest.workload = args.get("workload", "web-search");
-    manifest.seed = seed;
-    manifest.load = load;
-    manifest.duration_s = duration_s;
-    manifest.probe_period_s = probe_period_s;
-    manifest.link_bps = link_bps;
-    const std::string manifest_path = obs::manifest_path_for(trace_path);
-    if (!manifest.write(manifest_path)) {
-      std::fprintf(stderr, "cannot write run manifest: %s\n", manifest_path.c_str());
-      return 1;
-    }
-    std::printf("telemetry: trace=%s manifest=%s config_hash=%016llx\n", trace_path.c_str(),
-                manifest_path.c_str(),
-                static_cast<unsigned long long>(manifest.config_hash()));
-  }
-
-  sim.start();
-  sim::LinkStats window_start, window_end;
-  profiled("warmup", [&] { sim.run_until(wl.start); });
-  window_start = sim.aggregate_fabric_stats();
-  profiled("traffic", [&] {
-    if (stream) {
-      workload::pump_stream(transport, *stream, wl.start + wl.duration,
-                            std::max(wl.duration / 256, 1e-3),
-                            [&](sim::Time t) { sim.run_until(t); });
-    } else {
-      sim.run_until(wl.start + wl.duration);
-    }
-  });
-  window_end = sim.aggregate_fabric_stats();
-  profiled("drain", [&] { sim.run_until(wl.start + wl.duration + 0.25); });
-
-  const size_t num_flows = stream ? stream->emitted() : flows.size();
-  const auto fct = metrics::summarize_fct(transport.completed_flows(), num_flows);
-  const auto overhead = metrics::make_overhead_report(window_end, window_start);
-  std::printf("plane=%s load=%.0f%% flows=%zu\n", plane.c_str(), load * 100, num_flows);
-  std::printf("FCT     : %s\n", fct.to_string().c_str());
-  std::printf("traffic : %s\n", overhead.to_string().c_str());
-  std::printf("drops   : %llu data packets\n",
-              static_cast<unsigned long long>(sim.aggregate_fabric_stats().data_drops));
-  print_fluid_stats(transport.fluid_engine());
-
-  if (metrics_out != nullptr) {
-    *metrics_out << sim.telemetry().metrics().snapshot_json(sim.now()) << "\n";
-  }
-
-  if (tel.flow_tracking() && !write_flow_outputs(tel, flow_tracker)) return 1;
-  if (tel.link_sampling() && !write_link_output(tel, link_timeline)) return 1;
-  if (tel.audit) {
-    run_optimality_audit(*topo, compiled, *evaluator, flow_tracker, link_timeline,
-                         tel.audit_bucket_s, fail_link, fail_at_s);
-  }
-  if (profiler && !write_profile_output(tel.profile_path, *profiler)) return 1;
-
-  if (!trace_path.empty()) {
-    fanout.flush();
-    std::printf("trace   : %llu records -> %s\n",
-                static_cast<unsigned long long>(trace_sink->records_written()),
-                trace_path.c_str());
-    std::printf("%s", convergence.report().to_string().c_str());
-    sim.telemetry().set_sink(nullptr);  // sinks go out of scope before sim
-  }
-  transport.set_flow_tracker(nullptr);
-  return 0;
+  return run(args, *topo, argv[0]);
 }
