@@ -74,7 +74,7 @@ CompileResult compile(const lang::Policy& policy, const topology::Topology& topo
         build_dense_index(cfg.local_tags, num_tags, destinations, topo.num_nodes(), num_pids);
   }
 
-  account_state(result, options);
+  account_state(result);
   LOG_INFO("compiler") << "compiled policy " << lang::to_string(policy) << ": "
                        << result.summary();
   return result;

@@ -28,14 +28,17 @@
 
 namespace contra::compiler {
 
+/// Per-switch flowlet table slots (§5.3), as sized by state accounting.
+inline constexpr uint32_t kFlowletSlots = 1024;
+/// Per-switch loop-detection table slots (§5.5): state accounting sizes the
+/// table and the dataplane's LoopDetector allocates it from this one value.
+inline constexpr uint32_t kLoopTableSlots = 256;
+
 struct CompileOptions {
   /// Reject non-monotonic policies (the sound default, §5.1). When false the
   /// compiler only warns — useful for experiments that demonstrate why the
   /// check exists.
   bool require_monotonic = true;
-  /// Flowlet/loop-detection sizing knobs for state accounting.
-  uint32_t flowlet_slots = 1024;
-  uint32_t loop_table_slots = 256;
 };
 
 class CompileError : public std::runtime_error {

@@ -10,7 +10,7 @@ uint64_t bits_to_bytes(uint64_t bits) { return (bits + 7) / 8; }
 
 }  // namespace
 
-void account_state(CompileResult& result, const CompileOptions& options) {
+void account_state(CompileResult& result) {
   const uint64_t tag_bytes = std::max<uint64_t>(1, bits_to_bytes(result.tag_bits()));
   const uint64_t num_pids = result.num_pids();
   const uint64_t num_attrs = result.decomposition.attrs.size();
@@ -42,10 +42,10 @@ void account_state(CompileResult& result, const CompileOptions& options) {
     // Policy-aware flowlet table (§5.3): hash-indexed slots storing
     // (tag, pid, fid, nhop, ntag, timestamp).
     fp.flowlet_bytes =
-        static_cast<uint64_t>(options.flowlet_slots) * (tag_bytes + 1 + 4 + 2 + tag_bytes + 4);
+        static_cast<uint64_t>(kFlowletSlots) * (tag_bytes + 1 + 4 + 2 + tag_bytes + 4);
 
     // Loop-detection table (§5.5): hash, maxttl, minttl per slot.
-    fp.loop_table_bytes = static_cast<uint64_t>(options.loop_table_slots) * (4 + 1 + 1);
+    fp.loop_table_bytes = static_cast<uint64_t>(kLoopTableSlots) * (4 + 1 + 1);
 
     // Probe multicast groups.
     fp.multicast_bytes = cfg.multicast.size() * (tag_bytes + 2 + tag_bytes);

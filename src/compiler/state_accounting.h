@@ -17,9 +17,9 @@
 namespace contra::compiler {
 
 struct CompileResult;
-struct CompileOptions;
 
-/// Fills footprint for every switch in the result.
-void account_state(CompileResult& result, const CompileOptions& options);
+/// Fills footprint for every switch in the result (table sizes from
+/// kFlowletSlots and kLoopTableSlots).
+void account_state(CompileResult& result);
 
 }  // namespace contra::compiler

@@ -45,7 +45,7 @@ uint8_t CongaSwitch::pick_uplink(Simulator& sim, NodeId dst_leaf, uint32_t fid,
     // Remote (fed-back) path congestion, max-combined with the local uplink
     // DRE; expired/unseen remote cells read as 0 — optimistically explorable.
     const bool fresh =
-        cells[u].updated_at >= 0 && now - cells[u].updated_at <= options_.metric_expiry_s;
+        cells[u].updated_at >= 0 && now - cells[u].updated_at <= kCongaMetricExpiryS;
     const double remote = fresh ? cells[u].value : 0.0;
     return std::max(remote, sim.link(uplinks_[u]).utilization());
   };

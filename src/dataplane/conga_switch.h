@@ -26,11 +26,12 @@
 
 namespace contra::dataplane {
 
+/// Congestion entries decay to "unknown" (treated as 0 / most attractive)
+/// after this long without refresh.
+inline constexpr double kCongaMetricExpiryS = 10e-3;
+
 struct CongaOptions {
   double flowlet_timeout_s = 200e-6;
-  /// Congestion entries decay to "unknown" (treated as 0 / most attractive)
-  /// after this long without refresh.
-  double metric_expiry_s = 10e-3;
 };
 
 struct CongaStats : BaselineStats {

@@ -33,17 +33,13 @@ ContraSwitch::ContraSwitch(const compiler::CompileResult& compiled,
       row_present_(dense_->num_rows(), 0),
       adverts_(dense_->num_rows()),
       flowlets_(options.flowlet_timeout_s),
-      loop_detector_(options.loop_table_slots, options.loop_ttl_threshold),
+      loop_detector_(compiler::kLoopTableSlots, options.loop_ttl_threshold),
       probe_clock_(options.probe_period_s),
       // Triggered mode stretches the silence threshold by the keepalive
       // cadence: between keepalives, probe silence on a healthy link is the
       // designed steady state, not a failure. Port signals (note_down) cover
       // the fast path.
-      failure_detector_(options.failure_detect_periods * options.probe_period_s *
-                            ((options.triggered_updates && options.versioned_probes &&
-                              options.keepalive_rounds > 1)
-                                 ? options.keepalive_rounds
-                                 : 1),
+      failure_detector_(options.failure_detect_periods * options.probe_period_s * window_scale(),
                         compiled.graph.topo().num_links()),
       last_best_(dense_->destinations.size(), topology::kInvalidLink) {
   const auto& attrs = compiled.decomposition.attrs;
@@ -135,7 +131,7 @@ void ContraSwitch::note_route_flip(NodeId dst, sim::Time now) {
 }
 
 uint32_t ContraSwitch::probe_wire_bytes() const {
-  return options_.probe_base_bytes +
+  return kProbeBaseBytes +
          4 * static_cast<uint32_t>(compiled_->decomposition.attrs.size());
 }
 
@@ -313,22 +309,14 @@ uint32_t ContraSwitch::emit_deltas(Simulator& sim, uint32_t slot) {
     }
     FwdEntry& entry = rows_[row];
     if (entry_usable(entry, now)) {
-      const double lat_q = quantize_advert_lat(entry.mv.lat);
-      if (adv.valid && adv.util == entry.mv.util && adv.lat == lat_q &&
-          adv.len == entry.mv.len && adv.ntag == entry.ntag && adv.nhop == entry.nhop) {
+      if (adv.matches(entry.mv, entry.ntag, entry.nhop)) {
         continue;  // standing advertisement unchanged: nothing to say
       }
       const uint32_t copies = send_row_advert(sim, dst, local_tag, pid, entry, false);
       sent += copies;
       stats_.probes_triggered += copies;
       tel.metrics().add(tel.core().probes_triggered, copies);
-      adv.util = entry.mv.util;
-      adv.lat = lat_q;
-      adv.len = entry.mv.len;
-      adv.ntag = entry.ntag;
-      adv.nhop = entry.nhop;
-      adv.version = entry.version;
-      adv.valid = true;
+      adv.record(entry.mv, entry.ntag, entry.nhop, entry.version);
     } else if (adv.valid) {
       // The row we once advertised is no longer usable: poison it downstream
       // instead of letting neighbors wait out metric expiry.
@@ -429,7 +417,7 @@ void ContraSwitch::restart_control_plane() {
   // survive a control-CPU reboot.
   if (!triggered()) {
     // Periodic modes have no withdraw machinery; the stale caches just die
-    // (refresh rounds re-announce everything within suppress_refresh_rounds
+    // (refresh rounds re-announce everything within kSuppressRefreshRounds
     // periods anyway).
     for (AdvertState& adv : adverts_) adv.valid = false;
     return;
@@ -531,12 +519,11 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
   // the triggered engine (§12) the keepalive rounds play that role instead,
   // and the PR 5 receiver deferral is replaced by hold-down damping.
   const bool trig = triggered();
-  const bool suppression_active = !trig && options_.probe_suppression &&
-                                  options_.versioned_probes &&
-                                  options_.suppress_refresh_rounds > 1;
+  const bool suppression_active =
+      !trig && options_.probe_suppression && options_.versioned_probes;
   const bool refresh_round =
       trig ? keepalive_version(probe.version)
-           : !suppression_active || probe.version % options_.suppress_refresh_rounds == 0;
+           : !suppression_active || probe.version % kSuppressRefreshRounds == 0;
   if (trig && refresh_round) {
     ++stats_.keepalive_probes;
     tel.metrics().add(tel.core().keepalive_probes);
@@ -630,7 +617,7 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
     // would be re-adopted on version freshness every round while the better
     // path's unchanged re-announcement sits suppressed upstream, making the
     // row oscillate. Worse news (failures, genuine degradations) still lands
-    // within suppress_refresh_rounds periods via the full refresh flood, and
+    // within kSuppressRefreshRounds periods via the full refresh flood, and
     // improvements propagate immediately through the `better` path below.
     // (Triggered mode does not defer: senders only emit on change, and the
     // per-(switch,dst) hold-down is the oscillation damper.)
@@ -743,39 +730,23 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
   // fed and pins the steady-state fixed point to the unsuppressed
   // protocol's: every refresh round replays the full flood, so the per-row
   // winner is decided by exactly the legacy comparisons.
-  if (propagate && !refresh_round) {
-    const double lat_quantum = options_.suppress_lat_quantum_us;
-    const double lat_q = lat_quantum > 0
-                             ? std::round(probe.mv.lat / lat_quantum) * lat_quantum
-                             : probe.mv.lat;
-    const AdvertState& adv = adverts_[row];
-    if (adv.valid && adv.util == probe.mv.util && adv.lat == lat_q &&
-        adv.len == probe.mv.len && adv.ntag == incoming_tag && adv.nhop == traffic_link) {
-      ++stats_.probes_suppressed;
-      tel.metrics().add(tel.core().probes_suppressed);
-      if (tel.tracing()) {
-        sim::ProbeFields suppressed = probe;
-        suppressed.tag = local_tag;
-        trace_probe(obs::Ev::kProbeSuppress, suppressed, sim.now());
-      }
-      propagate = false;
+  if (propagate && !refresh_round &&
+      adverts_[row].matches(probe.mv, incoming_tag, traffic_link)) {
+    ++stats_.probes_suppressed;
+    tel.metrics().add(tel.core().probes_suppressed);
+    if (tel.tracing()) {
+      sim::ProbeFields suppressed = probe;
+      suppressed.tag = local_tag;
+      trace_probe(obs::Ev::kProbeSuppress, suppressed, sim.now());
     }
+    propagate = false;
   }
   if (!propagate) return;
   if (suppression_active || trig) {
     // Record what is about to go out as this row's standing advertisement
     // (triggered mode: keepalive floods must refresh it so the next
     // emit_deltas diffs against what neighbors actually heard).
-    AdvertState& adv = adverts_[row];
-    const double lat_quantum = options_.suppress_lat_quantum_us;
-    adv.util = probe.mv.util;
-    adv.lat = lat_quantum > 0 ? std::round(probe.mv.lat / lat_quantum) * lat_quantum
-                              : probe.mv.lat;
-    adv.len = probe.mv.len;
-    adv.ntag = incoming_tag;
-    adv.nhop = traffic_link;
-    adv.version = probe.version;
-    adv.valid = true;
+    adverts_[row].record(probe.mv, incoming_tag, traffic_link, probe.version);
   }
 
   // MULTICASTPROBE along PG out-edges of the local virtual node. The pure
@@ -837,9 +808,57 @@ std::optional<ContraSwitch::BestChoice> ContraSwitch::best_choice(NodeId dst,
   return best;
 }
 
+std::optional<ContraSwitch::SourcePin> ContraSwitch::source_stamp(const SourcePin* pin,
+                                                                   NodeId dst,
+                                                                   sim::Time now) const {
+  // A live pin keeps the flowlet on one (tag, pid) path; it expires on the
+  // same inter-packet gap as a flowlet pin.
+  if (pin != nullptr && flowlets_.live(pin->last_seen, now)) {
+    return SourcePin{pin->tag, pin->pid, now};
+  }
+  const auto choice = best_choice(dst, now);
+  if (!choice) return std::nullopt;
+  return SourcePin{choice->tag, choice->pid, now};
+}
+
+HopDecision ContraSwitch::decide(const FlowletEntry* pinned, NodeId dst, uint32_t tag,
+                                 uint32_t pid, sim::Time now) const {
+  const topology::Topology& topo = compiled_->graph.topo();
+  HopDecision hop;
+  if (pinned != nullptr) {
+    // §5.4: a flowlet pinned over a link presumed failed is stale; the packet
+    // re-rates against the FwdT row below.
+    hop.stale_pin = failure_detector_.presumed_failed(topo.link(pinned->nhop).reverse, now);
+    if (!hop.stale_pin) {
+      // Naive flowlet pinning carries only the next hop; the tag must still
+      // follow the actual path. A transition outside the PG is a policy
+      // violation (the Fig. 8a scenario): the pin is stale and there is no
+      // route.
+      hop.from_pin = true;
+      hop.ntag = options_.policy_aware_flowlets
+                     ? pinned->ntag
+                     : compiled_->graph.next_tag(tag, topo.link(pinned->nhop).to);
+      hop.stale_pin = hop.ntag == pg::kInvalidTag;
+      if (!hop.stale_pin) hop.nhop = pinned->nhop;
+      return hop;
+    }
+  }
+  // Out-of-universe data keys (e.g. traffic addressed to a non-destination)
+  // behave exactly like a missing entry always did: no route.
+  const uint32_t row = dense_->row(dst, tag, pid);
+  if (row == compiler::DenseFwdIndex::kNoRow || !row_present_[row] ||
+      !entry_usable(rows_[row], now)) {
+    return hop;
+  }
+  hop.nhop = rows_[row].nhop;
+  hop.ntag = rows_[row].ntag;
+  return hop;
+}
+
 void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link) {
   const sim::Time now = sim.now();
   if (sim.trace_enabled()) packet.trace.push_back(static_cast<uint16_t>(self_));
+  const uint32_t fid = util::hash_five_tuple(packet.tuple);
 
   if (in_link == sim::kFromHost) {
     if (packet.dst_switch == self_) {  // same-rack delivery
@@ -850,26 +869,18 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     // First switch: BestT selection stamps (tag, pid) — the s() rank over
     // every candidate entry for this destination. The selection itself is
     // flowlet-pinned so a flowlet stays on one (tag, pid) path.
-    const uint32_t fid = util::hash_five_tuple(packet.tuple);
-    auto pin = source_pins_.find(fid);
-    // Strict <: a gap of exactly the timeout expires the pin, matching
-    // FlowletTable::lookup's >= expiry (§5.2 boundary semantics).
-    if (pin != source_pins_.end() && now - pin->second.last_seen < options_.flowlet_timeout_s) {
-      packet.routing.tag = pin->second.tag;
-      packet.routing.pid = pin->second.pid;
-      pin->second.last_seen = now;
-    } else {
-      const auto choice = best_choice(packet.dst_switch, now);
-      if (!choice) {
-        ++stats_.data_dropped_no_route;
-        telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
-        return;
-      }
-      packet.routing.tag = choice->tag;
-      packet.routing.pid = choice->pid;
-      source_pins_[fid] = SourcePin{choice->tag, choice->pid, now};
+    const auto pin = source_pins_.find(fid);
+    const auto stamp =
+        source_stamp(pin == source_pins_.end() ? nullptr : &pin->second, packet.dst_switch, now);
+    if (!stamp) {
+      ++stats_.data_dropped_no_route;
+      telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
+      return;
     }
-    packet.size_bytes += options_.tag_overhead_bytes;  // tag+pid header on the wire
+    source_pins_[fid] = *stamp;
+    packet.routing.tag = stamp->tag;
+    packet.routing.pid = stamp->pid;
+    packet.size_bytes += kTagOverheadBytes;  // tag+pid header on the wire
     packet.routing.traffic_class = options_.traffic_class_id;
     packet.routing.stamped = true;
   } else {
@@ -892,62 +903,28 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     return;
   }
 
-  const uint32_t fid = util::hash_five_tuple(packet.tuple);
-  const FlowletKey fkey = options_.policy_aware_flowlets
-                              ? FlowletKey{packet.routing.tag, packet.routing.pid, fid}
-                              : FlowletKey{0, 0, fid};
+  const FlowletKey fkey = flowlet_key(packet.routing.tag, packet.routing.pid, fid);
 
   // Lazy loop breaking (§5.5): a TTL spread beyond threshold flushes the
   // flowlet entry so the next lookup re-rates against current FwdT state.
-  if (options_.loop_detection && in_link != sim::kFromHost &&
+  if (in_link != sim::kFromHost &&
       loop_detector_.observe(packet.loop_signature(), packet.routing.ttl, now)) {
     ++stats_.loops_broken;
     flowlets_.flush(fkey, now);
   }
 
-  LinkId nhop = topology::kInvalidLink;
-  uint32_t ntag = pg::kInvalidTag;
-
-  FlowletEntry* pinned = flowlets_.lookup(fkey, now);
-  if (pinned != nullptr) {
-    const LinkId probe_dir = sim.topo().link(pinned->nhop).reverse;
-    if (failure_detector_.presumed_failed(probe_dir, now)) {
-      flowlets_.flush(fkey, now);  // §5.4: expire flowlets over failed links
-      pinned = nullptr;
-    }
+  const HopDecision hop = decide(flowlets_.lookup(fkey, now), packet.dst_switch,
+                                 packet.routing.tag, packet.routing.pid, now);
+  if (hop.stale_pin) flowlets_.flush(fkey, now);
+  if (hop.nhop == topology::kInvalidLink) {
+    ++stats_.data_dropped_no_route;
+    telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
+    return;
   }
-
-  if (pinned != nullptr) {
-    nhop = pinned->nhop;
-    if (options_.policy_aware_flowlets) {
-      ntag = pinned->ntag;
-    } else {
-      // Naive flowlet pinning carries only the next hop; the tag must still
-      // follow the actual path. A transition outside the PG is a policy
-      // violation (the Fig. 8a scenario) — count and drop.
-      ntag = compiled_->graph.next_tag(packet.routing.tag, sim.topo().link(nhop).to);
-      if (ntag == pg::kInvalidTag) {
-        ++stats_.data_dropped_no_route;
-        telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
-        flowlets_.flush(fkey, now);
-        return;
-      }
-    }
+  if (hop.from_pin) {
     flowlets_.touch(fkey, now);
   } else {
-    // Out-of-universe data keys (e.g. traffic addressed to a non-destination)
-    // behave exactly like a missing entry always did: a no-route drop.
-    const uint32_t row =
-        dense_->row(packet.dst_switch, packet.routing.tag, packet.routing.pid);
-    if (row == compiler::DenseFwdIndex::kNoRow || !row_present_[row] ||
-        !entry_usable(rows_[row], now)) {
-      ++stats_.data_dropped_no_route;
-      telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
-      return;
-    }
-    nhop = rows_[row].nhop;
-    ntag = rows_[row].ntag;
-    flowlets_.pin(fkey, FlowletEntry{nhop, ntag, packet.routing.pid, now}, now);
+    flowlets_.pin(fkey, FlowletEntry{hop.nhop, hop.ntag, packet.routing.pid, now}, now);
   }
 
   if (packet.routing.ttl == 0) {
@@ -956,65 +933,35 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     return;
   }
   --packet.routing.ttl;
-  packet.routing.tag = ntag;
+  packet.routing.tag = hop.ntag;
   ++stats_.data_forwarded;
   telemetry_->metrics().add(telemetry_->core().data_forwarded);
-  sim.send_on_link(nhop, std::move(packet));
+  sim.send_on_link(hop.nhop, std::move(packet));
 }
 
-LinkId ContraSwitch::fluid_next_hop(Simulator& sim, NodeId dst_switch,
-                                    const util::FiveTuple& tuple, sim::RoutingState& routing) {
-  // forward_data's selection logic, side-effect free: the link the flow's
-  // next packet would leave on right now. No pins are created or refreshed,
-  // no flowlets pinned/touched/flushed, no stats counted — fluid flows must
-  // not perturb the packet-level state the sampled subset still exercises.
+LinkId ContraSwitch::fluid_next_hop(const Simulator& sim, NodeId dst_switch,
+                                    const util::FiveTuple& tuple,
+                                    sim::RoutingState& routing) const {
+  // The link the flow's next packet would leave on right now: forward_data's
+  // decide step over read-only views of the pins. Fluid flows must not
+  // perturb the packet-level state the sampled subset still exercises.
+  const FailureDetector::QuietScope quiet(failure_detector_);
   const sim::Time now = sim.now();
+  const uint32_t fid = util::hash_five_tuple(tuple);
   if (!routing.stamped) {
-    const uint32_t fid = util::hash_five_tuple(tuple);
-    auto pin = source_pins_.find(fid);
-    if (pin != source_pins_.end() && now - pin->second.last_seen < options_.flowlet_timeout_s) {
-      routing.tag = pin->second.tag;
-      routing.pid = pin->second.pid;
-    } else {
-      const auto choice = best_choice(dst_switch, now);
-      if (!choice) return topology::kInvalidLink;
-      routing.tag = choice->tag;
-      routing.pid = choice->pid;
-    }
+    const auto pin = source_pins_.find(fid);
+    const auto stamp =
+        source_stamp(pin == source_pins_.end() ? nullptr : &pin->second, dst_switch, now);
+    if (!stamp) return topology::kInvalidLink;
+    routing.tag = stamp->tag;
+    routing.pid = stamp->pid;
     routing.traffic_class = options_.traffic_class_id;
     routing.stamped = true;
   }
-
-  const uint32_t fid = util::hash_five_tuple(tuple);
-  const FlowletKey fkey = options_.policy_aware_flowlets
-                              ? FlowletKey{routing.tag, routing.pid, fid}
-                              : FlowletKey{0, 0, fid};
-  LinkId nhop = topology::kInvalidLink;
-  uint32_t ntag = pg::kInvalidTag;
-  FlowletEntry* pinned = flowlets_.lookup(fkey, now);
-  if (pinned != nullptr) {
-    const LinkId probe_dir = sim.topo().link(pinned->nhop).reverse;
-    if (failure_detector_.presumed_failed(probe_dir, now)) pinned = nullptr;
-  }
-  if (pinned != nullptr) {
-    nhop = pinned->nhop;
-    if (options_.policy_aware_flowlets) {
-      ntag = pinned->ntag;
-    } else {
-      ntag = compiled_->graph.next_tag(routing.tag, sim.topo().link(nhop).to);
-      if (ntag == pg::kInvalidTag) return topology::kInvalidLink;
-    }
-  } else {
-    const uint32_t row = dense_->row(dst_switch, routing.tag, routing.pid);
-    if (row == compiler::DenseFwdIndex::kNoRow || !row_present_[row] ||
-        !entry_usable(rows_[row], now)) {
-      return topology::kInvalidLink;
-    }
-    nhop = rows_[row].nhop;
-    ntag = rows_[row].ntag;
-  }
-  routing.tag = ntag;
-  return nhop;
+  const HopDecision hop = decide(flowlets_.peek(flowlet_key(routing.tag, routing.pid, fid), now),
+                                 dst_switch, routing.tag, routing.pid, now);
+  if (hop.nhop != topology::kInvalidLink) routing.tag = hop.ntag;
+  return hop.nhop;
 }
 
 std::string ContraSwitch::render_tables(sim::Time now) const {

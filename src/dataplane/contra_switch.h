@@ -34,6 +34,25 @@
 
 namespace contra::dataplane {
 
+/// Probe header bytes before the metric fields (4 bytes per carried metric
+/// are added on top).
+inline constexpr uint32_t kProbeBaseBytes = 64;
+/// Extra wire bytes data packets carry for the (tag, pid) header — added
+/// when the first switch stamps the packet, so Fig. 16's overhead includes
+/// tag bytes physically.
+inline constexpr uint32_t kTagOverheadBytes = 2;
+/// Probe delta-suppression refresh cadence (§5.2 semantics on the dense
+/// tables): origin rounds whose version is a multiple of this value
+/// propagate under the unsuppressed rule. Must stay below
+/// failure_detect_periods (default 3) so probe silence on a healthy path
+/// never crosses the failure threshold between refreshes.
+inline constexpr uint32_t kSuppressRefreshRounds = 2;
+/// Advertised-latency deltas below this many microseconds do not count as a
+/// change. Latency is propagation-only (see process_probe), so any real path
+/// change moves it by at least one link delay; the quantum only absorbs
+/// float noise.
+inline constexpr double kAdvertLatQuantumUs = 0.25;
+
 struct ContraSwitchOptions {
   double probe_period_s = 256e-6;
   double flowlet_timeout_s = 200e-6;
@@ -43,8 +62,6 @@ struct ContraSwitchOptions {
   /// metric expiration).
   double metric_expiry_periods = 12.0;
   uint8_t loop_ttl_threshold = 6;
-  uint32_t loop_table_slots = 256;
-  uint32_t probe_base_bytes = 64;
   /// Utilization is quantized to this step when written into probe metrics,
   /// mirroring the few-bit utilization registers of switch ASICs. Coarse
   /// steps make near-equal paths tie so the length tie-break keeps traffic
@@ -52,15 +69,10 @@ struct ContraSwitchOptions {
   /// measurement noise steers flows onto arbitrarily long "less utilized"
   /// paths and inflates total traffic.
   double util_quantum = 1.0 / 64;
-  /// Extra wire bytes data packets carry for the (tag, pid) header — added
-  /// when the first switch stamps the packet, so Fig. 16's overhead includes
-  /// tag bytes physically.
-  uint32_t tag_overhead_bytes = 2;
 
   // Ablation knobs (each defaults to the paper's final design).
   bool versioned_probes = true;      ///< §5.1 off => classic distance-vector
   bool policy_aware_flowlets = true; ///< §5.3 off => flowlet key ignores tag/pid
-  bool loop_detection = true;        ///< §5.5 off => no lazy loop breaking
 
   /// Version-reset detection (DSDV-style sequence recovery): a probe whose
   /// version regressed is normally dropped (§5.1), but when the stored entry
@@ -72,27 +84,17 @@ struct ContraSwitchOptions {
 
   /// Probe delta-suppression (§5.2 semantics on the dense tables): an
   /// accepted probe whose quantized advertisement — mv as carried (util is
-  /// already register-quantized, latency via suppress_lat_quantum_us), next
-  /// tag, next hop — matches what this switch last re-broadcast for the row
-  /// is not re-flooded. Refresh rounds (below) re-announce unconditionally,
-  /// which keeps downstream failure detectors and metric expiry fed and pins
-  /// the fixed point to the unsuppressed protocol's: on a refresh round every
-  /// switch runs exactly the legacy propagate rule, so the steady-state
-  /// winner per row is decided by the same comparisons in the same order.
-  /// Requires versioned_probes (rounds are identified by the carried
-  /// version); ignored under the classic distance-vector ablation.
+  /// already register-quantized, latency to kAdvertLatQuantumUs), next tag,
+  /// next hop — matches what this switch last re-broadcast for the row is not
+  /// re-flooded. Refresh rounds (every kSuppressRefreshRounds-th version)
+  /// re-announce unconditionally, which keeps downstream failure detectors
+  /// and metric expiry fed and pins the fixed point to the unsuppressed
+  /// protocol's: on a refresh round every switch runs exactly the legacy
+  /// propagate rule, so the steady-state winner per row is decided by the
+  /// same comparisons in the same order. Requires versioned_probes (rounds
+  /// are identified by the carried version); ignored under the classic
+  /// distance-vector ablation.
   bool probe_suppression = true;
-  /// Refresh cadence: origin rounds whose version is a multiple of this
-  /// value propagate under the unsuppressed rule. Must stay below
-  /// failure_detect_periods (default 3) so probe silence on a healthy path
-  /// never crosses the failure threshold between refreshes. <= 1 makes every
-  /// round a refresh round, i.e. disables suppression.
-  uint32_t suppress_refresh_rounds = 2;
-  /// Advertised-latency deltas below this many microseconds do not count as
-  /// a change. Latency is propagation-only (see process_probe), so any real
-  /// path change moves it by at least one link delay; the quantum only
-  /// absorbs float noise.
-  double suppress_lat_quantum_us = 0.25;
 
   /// Triggered-update mode (DESIGN.md §12): probes are emitted only when a
   /// row's advertisement *changes* — accepted delta, next-hop move, local
@@ -166,12 +168,12 @@ class ContraSwitch : public sim::Device {
   /// Port signal (triggered mode only): instant failure presumption +
   /// focused trigger wave on down, advert resync + origin re-announce on up.
   void handle_link_state(sim::Simulator& sim, topology::LinkId link, bool up) override;
-  /// Hybrid engine route query (DESIGN.md §14): forward_data's selection
-  /// logic with every side effect removed — reads source pins, flowlets and
-  /// FwdT state but never pins, touches, flushes, or counts.
-  topology::LinkId fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
+  /// Hybrid engine route query (DESIGN.md §14): forward_data's decide step
+  /// (source_stamp + decide) over a read-only view of the source pins and
+  /// flowlets (FlowletTable::peek) — never pins, touches, flushes, or counts.
+  topology::LinkId fluid_next_hop(const sim::Simulator& sim, topology::NodeId dst_switch,
                                   const util::FiveTuple& tuple,
-                                  sim::RoutingState& routing) override;
+                                  sim::RoutingState& routing) const override;
   const char* kind_name() const override { return "contra"; }
 
   const ContraSwitchStats& stats() const { return stats_; }
@@ -276,7 +278,38 @@ class ContraSwitch : public sim::Device {
 
   void originate_probes(sim::Simulator& sim);
   void process_probe(sim::Simulator& sim, sim::Packet&& packet, topology::LinkId in_link);
+  /// The apply step of data forwarding: source_stamp + decide, then every
+  /// side effect (pins, flowlet lookup/touch/pin/flush, loop accounting,
+  /// stats, telemetry, TTL).
   void forward_data(sim::Simulator& sim, sim::Packet&& packet, topology::LinkId in_link);
+
+  // ----- decide step of data forwarding (pure; shared with fluid_next_hop) --
+
+  /// Source-side pin of the BestT choice per flowlet (the "sender sets the
+  /// initial tag and probe number" rule, §4.2).
+  struct SourcePin {
+    uint32_t tag = 0;
+    uint32_t pid = 0;
+    sim::Time last_seen = 0.0;
+  };
+  /// First switch: the (tag, pid) a flowlet's packet is stamped with, as the
+  /// source pin it leaves behind — the live pin `pin` (nullptr = none)
+  /// refreshed to `now`, else a fresh pin on the BestT choice for `dst`;
+  /// nullopt when BestT has no usable candidate.
+  std::optional<SourcePin> source_stamp(const SourcePin* pin, topology::NodeId dst,
+                                        sim::Time now) const;
+  /// The flowlet key of a packet stamped (tag, pid): policy-aware (§5.3)
+  /// unless the ablation drops tag/pid from it.
+  FlowletKey flowlet_key(uint32_t tag, uint32_t pid, uint32_t fid) const {
+    return options_.policy_aware_flowlets ? FlowletKey{tag, pid, fid} : FlowletKey{0, 0, fid};
+  }
+  /// The next-hop decision for a packet stamped (tag, pid) toward `dst`,
+  /// given its live flowlet pin `pinned` (nullptr = none): follow the pin
+  /// unless its next hop is presumed failed (§5.4) or, with naive flowlets,
+  /// it leaves the PG (§5.3, Fig. 8a) — either makes it stale — else the
+  /// usable FwdT row.
+  HopDecision decide(const FlowletEntry* pinned, topology::NodeId dst, uint32_t tag,
+                     uint32_t pid, sim::Time now) const;
 
   // ----- triggered-update engine (DESIGN.md §12) ---------------------------
 
@@ -328,9 +361,8 @@ class ContraSwitch : public sim::Device {
                            uint32_t pid, const FwdEntry& entry, bool withdraw,
                            topology::LinkId only_link = topology::kInvalidLink);
 
-  double quantize_advert_lat(double lat) const {
-    const double q = options_.suppress_lat_quantum_us;
-    return q > 0 ? std::round(lat / q) * q : lat;
+  static double quantize_advert_lat(double lat) {
+    return std::round(lat / kAdvertLatQuantumUs) * kAdvertLatQuantumUs;
   }
 
   uint32_t probe_wire_bytes() const;
@@ -381,7 +413,7 @@ class ContraSwitch : public sim::Device {
   /// when a probe propagates.
   struct AdvertState {
     double util = 0.0;  ///< carried quantized (util_quantum)
-    double lat = 0.0;   ///< quantized to suppress_lat_quantum_us
+    double lat = 0.0;   ///< quantized to kAdvertLatQuantumUs
     double len = 0.0;
     uint32_t ntag = 0;
     topology::LinkId nhop = topology::kInvalidLink;
@@ -390,6 +422,19 @@ class ContraSwitch : public sim::Device {
     /// holds nothing comparable.
     uint64_t version = 0;
     bool valid = false;  ///< row has been advertised at least once
+
+    /// Whether this standing advert already says (mv, ntag, nhop) — the
+    /// delta-suppression test (latency compared quantized).
+    bool matches(const pg::MetricsVector& mv, uint32_t adv_ntag, topology::LinkId adv_nhop) const {
+      return valid && util == mv.util && lat == quantize_advert_lat(mv.lat) && len == mv.len &&
+             ntag == adv_ntag && nhop == adv_nhop;
+    }
+    /// Records (mv, ntag, nhop) at `adv_version` as the standing advert.
+    void record(const pg::MetricsVector& mv, uint32_t adv_ntag, topology::LinkId adv_nhop,
+                uint64_t adv_version) {
+      *this = AdvertState{mv.util, quantize_advert_lat(mv.lat), mv.len, adv_ntag, adv_nhop,
+                          adv_version, true};
+    }
   };
   std::vector<AdvertState> adverts_;
 
@@ -416,13 +461,6 @@ class ContraSwitch : public sim::Device {
   /// Test-only shadow of the PR 4 hash-map FwdT (options_.reference_tables).
   std::unordered_map<FwdKey, FwdEntry, FwdKeyHash> reference_fwdt_;
 
-  /// Source-side pin of the BestT choice per flowlet (the "sender sets the
-  /// initial tag and probe number" rule, §4.2).
-  struct SourcePin {
-    uint32_t tag = 0;
-    uint32_t pid = 0;
-    sim::Time last_seen = 0.0;
-  };
   std::unordered_map<uint32_t, SourcePin> source_pins_;
 
   FlowletTable flowlets_;

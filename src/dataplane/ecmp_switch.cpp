@@ -13,15 +13,8 @@ void EcmpSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
     sim.send_to_host(packet.dst_host, std::move(packet));
     return;
   }
-  // ECMP groups exclude ports whose link is locally down (standard LAG/ECMP
-  // behaviour); it stays load-oblivious among the live members.
-  const auto& hops = (*table_)[self_][packet.dst_switch];
-  std::vector<topology::LinkId> live;
-  live.reserve(hops.size());
-  for (topology::LinkId l : hops) {
-    if (!sim.link(l).down()) live.push_back(l);
-  }
-  if (live.empty()) {
+  const topology::LinkId nhop = pick(sim, packet.dst_switch, packet.tuple);
+  if (nhop == topology::kInvalidLink) {
     ++stats_.data_dropped_no_route;
     return;
   }
@@ -30,28 +23,34 @@ void EcmpSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
     return;
   }
   --packet.routing.ttl;
-  const uint32_t h = util::hash_five_tuple(packet.tuple, /*seed=*/0x5bd1e995u);
   ++stats_.data_forwarded;
-  sim.send_on_link(live[h % live.size()], std::move(packet));
+  sim.send_on_link(nhop, std::move(packet));
 }
 
-topology::LinkId EcmpSwitch::fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
+topology::LinkId EcmpSwitch::fluid_next_hop(const sim::Simulator& sim,
+                                            topology::NodeId dst_switch,
                                             const util::FiveTuple& tuple,
-                                            sim::RoutingState& routing) {
+                                            sim::RoutingState& routing) const {
   (void)routing;
+  return pick(sim, dst_switch, tuple);
+}
+
+topology::LinkId EcmpSwitch::pick(const sim::Simulator& sim, topology::NodeId dst_switch,
+                                  const util::FiveTuple& tuple) const {
+  // ECMP groups exclude ports whose link is locally down (standard LAG/ECMP
+  // behaviour); it stays load-oblivious among the live members.
   const auto& hops = (*table_)[self_][dst_switch];
   uint32_t live = 0;
   for (topology::LinkId l : hops) {
     if (!sim.link(l).down()) ++live;
   }
   if (live == 0) return topology::kInvalidLink;
-  // Same pick as handle_packet's `live[h % live.size()]`, found by counting
-  // instead of building the group vector.
-  const uint32_t pick = util::hash_five_tuple(tuple, /*seed=*/0x5bd1e995u) % live;
+  // The target-th live member, in group order.
+  const uint32_t target = util::hash_five_tuple(tuple, /*seed=*/0x5bd1e995u) % live;
   uint32_t idx = 0;
   for (topology::LinkId l : hops) {
     if (sim.link(l).down()) continue;
-    if (idx++ == pick) return l;
+    if (idx++ == target) return l;
   }
   return topology::kInvalidLink;
 }

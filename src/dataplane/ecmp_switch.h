@@ -26,16 +26,21 @@ class EcmpSwitch : public sim::Device {
 
   void handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                      topology::LinkId in_link) override;
-  /// Hybrid engine route query: the same hash pick over live group members,
-  /// with no allocation (count + index instead of materializing the group).
-  topology::LinkId fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
+  /// Hybrid engine route query: handle_packet's decide step (pick).
+  topology::LinkId fluid_next_hop(const sim::Simulator& sim, topology::NodeId dst_switch,
                                   const util::FiveTuple& tuple,
-                                  sim::RoutingState& routing) override;
+                                  sim::RoutingState& routing) const override;
   const char* kind_name() const override { return "ecmp"; }
 
   const BaselineStats& stats() const { return stats_; }
 
  private:
+  /// The decide step: the group member toward `dst_switch` that `tuple`
+  /// hashes onto among the members whose link is up, or kInvalidLink when
+  /// none is. Found by counting and indexing, so it never allocates.
+  topology::LinkId pick(const sim::Simulator& sim, topology::NodeId dst_switch,
+                        const util::FiveTuple& tuple) const;
+
   std::shared_ptr<const EcmpTable> table_;
   topology::NodeId self_;
   BaselineStats stats_;

@@ -27,10 +27,7 @@ FlowletEntry* FlowletTable::lookup(const FlowletKey& key, sim::Time now) {
     ++stats_.misses;
     return nullptr;
   }
-  // A flowlet whose inter-packet gap reached the timeout is expired: the
-  // §5.2 failover story needs the boundary packet to re-rate, so the
-  // comparison is >= (not >).
-  if (now - it->second.last_seen >= timeout_s_) {
+  if (!live(it->second.last_seen, now)) {
     remember_prev_nhop(key, it->second.nhop);
     if (telemetry_ != nullptr) {
       telemetry_->metrics().add(telemetry_->core().flowlets_expired);
@@ -45,6 +42,12 @@ FlowletEntry* FlowletTable::lookup(const FlowletKey& key, sim::Time now) {
     return nullptr;
   }
   ++stats_.hits;
+  return &it->second;
+}
+
+const FlowletEntry* FlowletTable::peek(const FlowletKey& key, sim::Time now) const {
+  auto it = table_.find(key);
+  if (it == table_.end() || !live(it->second.last_seen, now)) return nullptr;
   return &it->second;
 }
 

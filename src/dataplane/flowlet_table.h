@@ -38,6 +38,20 @@ struct FlowletEntry {
   sim::Time last_seen = 0.0;
 };
 
+/// Output of a flowlet-switching dataplane's decide step — the pure function
+/// that both packet forwarding and the hybrid engine's route query call. The
+/// caller applies the side effects: flush a stale pin, drop on no route,
+/// touch a followed pin or pin a fresh table decision.
+struct HopDecision {
+  topology::LinkId nhop = topology::kInvalidLink;  ///< kInvalidLink = no route
+  uint32_t ntag = 0;
+  /// The decision follows the flowlet pin (else the routing table).
+  bool from_pin = false;
+  /// The pin must be flushed: its next hop is presumed failed, or it breaks
+  /// a policy transition.
+  bool stale_pin = false;
+};
+
 struct FlowletStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -65,9 +79,21 @@ class FlowletTable {
   static constexpr size_t kPrevNhopCap = 1u << 12;
   size_t prev_nhop_window_size() const { return prev_nhop_.size(); }
 
+  /// Whether a pin last seen at `last_seen` is still live at `now`. A gap of
+  /// exactly the timeout expires it: the §5.2 failover story needs the
+  /// boundary packet to re-rate, so the expiry test is >= (not >). Source-
+  /// side (tag, pid) pins follow the same rule.
+  bool live(sim::Time last_seen, sim::Time now) const { return now - last_seen < timeout_s_; }
+
   /// Live entry for this key, or nullptr (expired entries are erased and
   /// counted). Does NOT refresh the timestamp — call touch() after use.
   FlowletEntry* lookup(const FlowletKey& key, sim::Time now);
+
+  /// Read-only view for route queries: the entry lookup() would return, or
+  /// nullptr, with no side effect — an expired entry is left in place (the
+  /// next lookup() still meets, erases and counts it), and no hit/miss/expiry
+  /// is counted or traced.
+  const FlowletEntry* peek(const FlowletKey& key, sim::Time now) const;
 
   /// Pins (or re-pins) a decision.
   void pin(const FlowletKey& key, const FlowletEntry& entry, sim::Time now = 0.0);

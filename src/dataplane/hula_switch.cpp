@@ -237,6 +237,22 @@ const HulaSwitch::BestHop* HulaSwitch::best_hop(NodeId dst_tor) const {
   return it == best_.end() ? nullptr : &it->second;
 }
 
+HopDecision HulaSwitch::decide(const topology::Topology& topo, const FlowletEntry* pinned,
+                               NodeId dst, sim::Time now) const {
+  HopDecision hop;
+  if (pinned != nullptr) {
+    hop.stale_pin = failure_detector_.presumed_failed(topo.link(pinned->nhop).reverse, now);
+    if (!hop.stale_pin) {
+      hop.nhop = pinned->nhop;
+      hop.from_pin = true;
+      return hop;
+    }
+  }
+  auto it = best_.find(dst);
+  if (it != best_.end() && entry_usable(it->second, now)) hop.nhop = it->second.nhop;
+  return hop;
+}
+
 void HulaSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link) {
   (void)in_link;
   const sim::Time now = sim.now();
@@ -245,30 +261,19 @@ void HulaSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link) {
     sim.send_to_host(packet.dst_host, std::move(packet));
     return;
   }
-  const uint32_t fid = util::hash_five_tuple(packet.tuple);
-  const FlowletKey fkey{0, 0, fid};
-
-  LinkId nhop = topology::kInvalidLink;
-  FlowletEntry* pinned = flowlets_.lookup(fkey, now);
-  if (pinned != nullptr) {
-    const LinkId probe_dir = sim.topo().link(pinned->nhop).reverse;
-    if (failure_detector_.presumed_failed(probe_dir, now)) {
-      flowlets_.flush(fkey, now);
-      pinned = nullptr;
-    }
+  const FlowletKey fkey{0, 0, util::hash_five_tuple(packet.tuple)};
+  const HopDecision hop =
+      decide(sim.topo(), flowlets_.lookup(fkey, now), packet.dst_switch, now);
+  if (hop.stale_pin) flowlets_.flush(fkey, now);
+  if (hop.nhop == topology::kInvalidLink) {
+    ++stats_.data_dropped_no_route;
+    telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
+    return;
   }
-  if (pinned != nullptr) {
-    nhop = pinned->nhop;
+  if (hop.from_pin) {
     flowlets_.touch(fkey, now);
   } else {
-    auto it = best_.find(packet.dst_switch);
-    if (it == best_.end() || !entry_usable(it->second, now)) {
-      ++stats_.data_dropped_no_route;
-      telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
-      return;
-    }
-    nhop = it->second.nhop;
-    flowlets_.pin(fkey, FlowletEntry{nhop, 0, 0, now}, now);
+    flowlets_.pin(fkey, FlowletEntry{hop.nhop, 0, 0, now}, now);
   }
   if (packet.routing.ttl == 0) {
     ++stats_.data_dropped_ttl;
@@ -278,24 +283,17 @@ void HulaSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link) {
   --packet.routing.ttl;
   ++stats_.data_forwarded;
   telemetry_->metrics().add(telemetry_->core().data_forwarded);
-  sim.send_on_link(nhop, std::move(packet));
+  sim.send_on_link(hop.nhop, std::move(packet));
 }
 
-LinkId HulaSwitch::fluid_next_hop(Simulator& sim, NodeId dst_switch,
-                                  const util::FiveTuple& tuple, sim::RoutingState& routing) {
+LinkId HulaSwitch::fluid_next_hop(const Simulator& sim, NodeId dst_switch,
+                                  const util::FiveTuple& tuple,
+                                  sim::RoutingState& routing) const {
   (void)routing;
+  const FailureDetector::QuietScope quiet(failure_detector_);
   const sim::Time now = sim.now();
-  const uint32_t fid = util::hash_five_tuple(tuple);
-  const FlowletKey fkey{0, 0, fid};
-  FlowletEntry* pinned = flowlets_.lookup(fkey, now);
-  if (pinned != nullptr &&
-      failure_detector_.presumed_failed(sim.topo().link(pinned->nhop).reverse, now)) {
-    pinned = nullptr;  // read-only: the real flush waits for a packet
-  }
-  if (pinned != nullptr) return pinned->nhop;
-  auto it = best_.find(dst_switch);
-  if (it == best_.end() || !entry_usable(it->second, now)) return topology::kInvalidLink;
-  return it->second.nhop;
+  const FlowletKey fkey{0, 0, util::hash_five_tuple(tuple)};
+  return decide(sim.topo(), flowlets_.peek(fkey, now), dst_switch, now).nhop;
 }
 
 std::vector<HulaSwitch*> install_hula_network(sim::Simulator& sim, HulaOptions options) {

@@ -58,14 +58,16 @@ class HulaSwitch : public sim::Device {
   /// Port signal (triggered mode only): instant failure presumption on
   /// down; ToRs queue an immediate re-origination either way.
   void handle_link_state(sim::Simulator& sim, topology::LinkId link, bool up) override;
-  /// Hybrid engine route query: forward_data's flowlet/best-hop selection
-  /// without pinning, touching, or counting.
-  topology::LinkId fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
+  /// Hybrid engine route query: forward_data's decide step over a read-only
+  /// view of the flowlets (FlowletTable::peek) — never pins, touches,
+  /// flushes, or counts.
+  topology::LinkId fluid_next_hop(const sim::Simulator& sim, topology::NodeId dst_switch,
                                   const util::FiveTuple& tuple,
-                                  sim::RoutingState& routing) override;
+                                  sim::RoutingState& routing) const override;
   const char* kind_name() const override { return "hula"; }
 
   const HulaStats& stats() const { return stats_; }
+  const FlowletStats& flowlet_stats() const { return flowlets_.stats(); }
 
   struct BestHop {
     topology::LinkId nhop = topology::kInvalidLink;
@@ -79,7 +81,14 @@ class HulaSwitch : public sim::Device {
  private:
   void originate_probes(sim::Simulator& sim);
   void process_probe(sim::Simulator& sim, sim::Packet&& packet, topology::LinkId in_link);
+  /// The apply step of data forwarding: decide, then the flowlet
+  /// lookup/touch/pin/flush, stats, telemetry and TTL.
   void forward_data(sim::Simulator& sim, sim::Packet&& packet, topology::LinkId in_link);
+  /// The decide step, shared with fluid_next_hop: follow the flowlet pin
+  /// `pinned` (nullptr = none) unless its next hop is presumed failed (then
+  /// it is stale), else the usable best hop toward `dst`.
+  HopDecision decide(const topology::Topology& topo, const FlowletEntry* pinned,
+                     topology::NodeId dst, sim::Time now) const;
   bool entry_usable(const BestHop& entry, sim::Time now) const;
   void bind_telemetry(sim::Simulator& sim);
 

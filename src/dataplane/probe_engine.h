@@ -94,13 +94,32 @@ class FailureDetector {
 
   /// Is the link presumed failed? Links that never carried a probe are
   /// treated as alive until `now` exceeds the threshold from time zero
-  /// (bootstrap grace).
+  /// (bootstrap grace). Under tracing, the first query that sees a
+  /// transition records it (failure_detect / failure_clear) — unless a
+  /// QuietScope is open.
   bool presumed_failed(topology::LinkId in_link, sim::Time now) const {
     const sim::Time last = in_link < last_probe_.size() ? last_probe_[in_link] : 0.0;
     const bool failed = now - last > threshold_s_;
-    if (telemetry_ != nullptr && telemetry_->tracing()) note_state(in_link, failed, now);
+    if (!quiet_ && telemetry_ != nullptr && telemetry_->tracing()) {
+      note_state(in_link, failed, now);
+    }
     return failed;
   }
+
+  /// Read-only route queries (Device::fluid_next_hop) open one around their
+  /// decide step: presumed_failed then answers without recording
+  /// transitions, which stay for the next packet or control-plane query to
+  /// record at its own time.
+  class QuietScope {
+   public:
+    explicit QuietScope(const FailureDetector& detector) : detector_(detector) {
+      detector_.quiet_ = true;
+    }
+    ~QuietScope() { detector_.quiet_ = false; }
+
+   private:
+    const FailureDetector& detector_;
+  };
 
   double threshold_s() const { return threshold_s_; }
 
@@ -135,6 +154,8 @@ class FailureDetector {
   uint32_t switch_id_ = obs::kNoField;
   /// Tracing-only failed/alive transition state per in-link.
   mutable std::vector<int8_t> presumed_;
+  /// A QuietScope is open.
+  mutable bool quiet_ = false;
 };
 
 }  // namespace contra::dataplane

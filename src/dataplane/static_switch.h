@@ -20,9 +20,9 @@ class StaticSwitch : public sim::Device {
 
   void handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                      topology::LinkId in_link) override;
-  topology::LinkId fluid_next_hop(sim::Simulator& sim, topology::NodeId dst_switch,
+  topology::LinkId fluid_next_hop(const sim::Simulator& sim, topology::NodeId dst_switch,
                                   const util::FiveTuple& tuple,
-                                  sim::RoutingState& routing) override {
+                                  sim::RoutingState& routing) const override {
     (void)sim;
     (void)tuple;
     (void)routing;

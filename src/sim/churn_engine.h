@@ -1,6 +1,6 @@
 // Adversarial failure & churn engine (DESIGN.md §13).
 //
-// Layers on FailureSchedule's scripted-timeline shape but speaks in fault
+// The one fault-script API: a scripted timeline that speaks in fault
 // *classes* rather than single cable events: link flaps at a tunable
 // frequency, correlated failures over shared-risk groups (a pod, a spine
 // plane, all links of one switch), gray failures (loss probability, added

@@ -41,15 +41,19 @@ class Device {
   virtual void restart_control_plane() {}
 
   /// Hybrid engine route query (DESIGN.md §14): the egress link a data packet
-  /// of `tuple` bound for `dst_switch` would take right now, *without* any
-  /// dataplane side effects (no flowlet creation, no pinning, no counters).
-  /// `routing` carries the per-flow stamp (tag/pid) across hops exactly as a
-  /// packet header would; implementations must update it the way forwarding
-  /// would. Returns kInvalidLink when this device has no usable route (the
-  /// fluid flow stalls and retries next quantum). The default refuses, which
-  /// disables hybrid mode for dataplanes without a read-only walk (SPAIN).
-  virtual topology::LinkId fluid_next_hop(Simulator& sim, topology::NodeId dst_switch,
-                                          const util::FiveTuple& tuple, RoutingState& routing) {
+  /// of `tuple` bound for `dst_switch` would take right now. Implementations
+  /// call the same decide step as packet forwarding, over read-only views of
+  /// their pins, so the answer is the packet path's by construction; the
+  /// query is const and changes nothing (no pin created, refreshed, expired
+  /// or flushed, no counter or trace record). `routing` carries the per-flow
+  /// stamp (tag/pid) across hops exactly as a packet header would;
+  /// implementations must update it the way forwarding would. Returns
+  /// kInvalidLink when this device has no usable route (the fluid flow stalls
+  /// and retries next quantum). The default refuses, which disables hybrid
+  /// mode for dataplanes without a read-only walk (SPAIN).
+  virtual topology::LinkId fluid_next_hop(const Simulator& sim, topology::NodeId dst_switch,
+                                          const util::FiveTuple& tuple,
+                                          RoutingState& routing) const {
     (void)sim;
     (void)dst_switch;
     (void)tuple;

@@ -11,7 +11,6 @@
 #include "sim/fluid.h"
 #include "obs/telemetry.h"
 #include "topology/generators.h"
-#include "util/strings.h"
 
 namespace contra::sim {
 
@@ -610,36 +609,6 @@ uint64_t ParallelTransport::udp_bytes_received() const {
   uint64_t total = 0;
   for (const auto& transport : transports_) total += transport->udp_bytes_received();
   return total;
-}
-
-// ----- host placement --------------------------------------------------------
-
-std::vector<HostId> attach_hosts_to_fat_tree_edges(ParallelSimulator& sim, uint32_t per_switch) {
-  std::vector<HostId> hosts;
-  const topology::Topology& topo = sim.topo();
-  for (topology::NodeId n = 0; n < topo.num_nodes(); ++n) {
-    if (topology::fat_tree_layer(topo, n) != topology::FatTreeLayer::kEdge) continue;
-    for (uint32_t i = 0; i < per_switch; ++i) hosts.push_back(sim.add_host(n));
-  }
-  return hosts;
-}
-
-std::vector<HostId> attach_hosts_to_leaves(ParallelSimulator& sim, uint32_t per_switch) {
-  std::vector<HostId> hosts;
-  const topology::Topology& topo = sim.topo();
-  for (topology::NodeId n = 0; n < topo.num_nodes(); ++n) {
-    if (!util::starts_with(topo.name(n), "leaf")) continue;
-    for (uint32_t i = 0; i < per_switch; ++i) hosts.push_back(sim.add_host(n));
-  }
-  return hosts;
-}
-
-std::vector<HostId> attach_hosts(ParallelSimulator& sim,
-                                 const std::vector<topology::NodeId>& switches) {
-  std::vector<HostId> hosts;
-  hosts.reserve(switches.size());
-  for (topology::NodeId n : switches) hosts.push_back(sim.add_host(n));
-  return hosts;
 }
 
 }  // namespace contra::sim

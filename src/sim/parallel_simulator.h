@@ -286,10 +286,4 @@ class ParallelTransport {
   std::vector<std::unique_ptr<obs::FlowTracker>> trackers_;
 };
 
-// Host-placement helpers mirroring sim/host.h for the parallel engine.
-std::vector<HostId> attach_hosts_to_fat_tree_edges(ParallelSimulator& sim, uint32_t per_switch);
-std::vector<HostId> attach_hosts_to_leaves(ParallelSimulator& sim, uint32_t per_switch);
-std::vector<HostId> attach_hosts(ParallelSimulator& sim,
-                                 const std::vector<topology::NodeId>& switches);
-
 }  // namespace contra::sim

@@ -34,7 +34,7 @@ HostId Simulator::add_host(topology::NodeId attach) {
   host_attach_.push_back(attach);
 
   // Host -> switch (uplink).
-  auto up = std::make_unique<Link>(events_, config_.host_link_bps, config_.host_link_delay_s,
+  auto up = std::make_unique<Link>(events_, config_.host_link_bps, kHostLinkDelayS,
                                    config_.queue_capacity_bytes, config_.util_tau_s);
   up->set_telemetry(&telemetry_, static_cast<uint32_t>(links_.size()));
   up->set_deliver([this, attach](Packet&& packet) {
@@ -44,7 +44,7 @@ HostId Simulator::add_host(topology::NodeId attach) {
   links_.push_back(std::move(up));
 
   // Switch -> host (downlink).
-  auto down = std::make_unique<Link>(events_, config_.host_link_bps, config_.host_link_delay_s,
+  auto down = std::make_unique<Link>(events_, config_.host_link_bps, kHostLinkDelayS,
                                      config_.queue_capacity_bytes, config_.util_tau_s);
   down->set_telemetry(&telemetry_, static_cast<uint32_t>(links_.size()));
   down->set_deliver([this, host](Packet&& packet) {

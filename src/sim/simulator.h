@@ -17,9 +17,11 @@
 
 namespace contra::sim {
 
+/// Propagation delay of every host NIC link.
+inline constexpr double kHostLinkDelayS = 0.5e-6;
+
 struct SimConfig {
   double host_link_bps = 10e9;
-  double host_link_delay_s = 0.5e-6;
   /// Drop-tail capacity per link queue; the paper uses 1000 MSS.
   uint64_t queue_capacity_bytes = 1000ull * 1500;
   /// Utilization EWMA window; commonly a couple of probe periods.

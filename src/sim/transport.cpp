@@ -67,8 +67,8 @@ uint64_t TransportManager::start_flow(HostId src, HostId dst, uint64_t bytes, Ti
   sender.last_pkt_payload =
       static_cast<uint32_t>(sender.bytes - (sender.total_pkts - 1) * config_.mss_bytes);
   sender.start_time = start_time;
-  sender.cwnd = config_.init_cwnd_pkts;
-  sender.rto = config_.init_rto_s;
+  sender.cwnd = kInitCwndPkts;
+  sender.rto = kInitRtoS;
   sender.src_port = static_cast<uint16_t>(1024 + flow_id % 50000);
   sender.dst_port = static_cast<uint16_t>(5000 + flow_id % 1000);
   senders_.emplace(flow_id, std::move(sender));
@@ -184,7 +184,7 @@ void TransportManager::tcp_on_rto(uint64_t flow_id, uint64_t generation) {
   sender.ssthresh = std::max(sender.cwnd / 2.0, 2.0);
   sender.cwnd = 1.0;
   sender.dupacks = 0;
-  sender.rto = std::min(sender.rto * 2.0, config_.max_rto_s);
+  sender.rto = std::min(sender.rto * 2.0, kMaxRtoS);
   sender.next_seq = sender.acked;  // go-back-N from the first unacked packet
   tcp_send_window(sender);
   tcp_arm_rto(sender);
@@ -277,7 +277,7 @@ void TransportManager::on_ack(Packet&& packet) {
               ? static_cast<double>(sender.dctcp_acked_marked) / sender.dctcp_acked_total
               : 0.0;
       sender.dctcp_alpha =
-          (1.0 - config_.dctcp_gain) * sender.dctcp_alpha + config_.dctcp_gain * fraction;
+          (1.0 - kDctcpGain) * sender.dctcp_alpha + kDctcpGain * fraction;
       if (fraction > 0) {
         sender.cwnd = std::max(1.0, sender.cwnd * (1.0 - sender.dctcp_alpha / 2.0));
         sender.ssthresh = sender.cwnd;
@@ -302,8 +302,8 @@ void TransportManager::on_ack(Packet&& packet) {
         sender.rttvar = 0.75 * sender.rttvar + 0.25 * std::abs(sender.srtt - sample);
         sender.srtt = 0.875 * sender.srtt + 0.125 * sample;
       }
-      sender.rto = std::clamp(sender.srtt + 4.0 * sender.rttvar, config_.min_rto_s,
-                              config_.max_rto_s);
+      sender.rto = std::clamp(sender.srtt + 4.0 * sender.rttvar, kMinRtoS,
+                              kMaxRtoS);
     }
     for (uint64_t s = sender.acked; s < ack; ++s) sender.send_time.erase(s);
     const uint64_t newly = ack - sender.acked;

@@ -22,18 +22,20 @@ namespace contra::sim {
 
 class FluidEngine;
 
+// TCP constants shared by every flow (NewReno/DCTCP sender state).
+inline constexpr uint32_t kInitCwndPkts = 10;
+inline constexpr double kInitRtoS = 2e-3;
+inline constexpr double kMinRtoS = 200e-6;
+inline constexpr double kMaxRtoS = 100e-3;
+inline constexpr double kDctcpGain = 1.0 / 16;  ///< the DCTCP g parameter
+
 struct TransportConfig {
   uint32_t mss_bytes = 1460;       ///< payload per data packet
   uint32_t header_bytes = 40;      ///< TCP/IP header overhead
   uint32_t ack_bytes = 64;         ///< ACK wire size
-  uint32_t init_cwnd_pkts = 10;
-  double init_rto_s = 2e-3;
-  double min_rto_s = 200e-6;
-  double max_rto_s = 100e-3;
   /// DCTCP mode: react proportionally to the fraction of ECN-marked ACKs
   /// (requires links with an ECN threshold; see Link::set_ecn_threshold_bytes).
   bool dctcp = false;
-  double dctcp_gain = 1.0 / 16;    ///< the DCTCP g parameter
 
   /// Hybrid flow-level engine (DESIGN.md §14): bulk TCP flows advance as
   /// fluid rates in a FluidEngine the manager creates and binds; probes,

@@ -9,7 +9,7 @@
 //   * restart_control_plane under triggered updates withdraws the pre-restart
 //     advert ledger, so neighbours converge back to periodic-mode parity
 //     instead of routing on ghosts until metric expiry;
-//   * duplicate / overlapping FailureSchedule events are idempotent, and a
+//   * duplicate / overlapping scheduled cable events are idempotent, and a
 //     full mixed-class churn schedule is byte-identical across --workers at
 //     a fixed shard count.
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 #include "oracle/quiesce.h"
 #include "sim/churn_engine.h"
 #include "sim/event_queue.h"
-#include "sim/failure_schedule.h"
 #include "sim/link.h"
 #include "sim/parallel_simulator.h"
 #include "sim/simulator.h"

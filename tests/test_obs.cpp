@@ -431,7 +431,7 @@ TEST(ObsIntegration, TracedFailoverRecordCountsArePinned) {
   const std::unique_ptr<TracedRun> run = run_traced_failover();
   const obs::ConvergenceTracker::Report report = run->convergence.report();
   // Re-pinned when probe delta-suppression landed: probe traffic roughly
-  // halves (suppress_refresh_rounds=2), origination is unchanged.
+  // halves (kSuppressRefreshRounds = 2), origination is unchanged.
   EXPECT_EQ(run->trace.records().size(), 42418u);
   EXPECT_EQ(report.count(obs::Ev::kProbeOrig), 2560u);
   EXPECT_EQ(report.count(obs::Ev::kProbeRx), 19696u);

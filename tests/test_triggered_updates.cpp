@@ -12,7 +12,7 @@
 #include "oracle/checker.h"
 #include "oracle/oracle.h"
 #include "oracle/quiesce.h"
-#include "sim/failure_schedule.h"
+#include "sim/churn_engine.h"
 #include "sim/host.h"
 #include "sim/simulator.h"
 #include "sim/transport.h"
@@ -114,15 +114,12 @@ TEST(TriggeredUpdates, HoldDownDampsFlappingLink) {
   TriggeredWorld trig(test_fabric(), true, /*keepalive_rounds=*/8);
   const topology::LinkId victim =
       trig.topo.link_between(trig.topo.find("a0_0"), trig.topo.find("c0"));
-  sim::FailureSchedule schedule;
-  // 12 flaps, half a hold-down window apart (hold-down = 2 periods).
-  double t = 80 * kPeriod;
-  for (int i = 0; i < 12; ++i) {
-    schedule.fail_at(t, victim);
-    schedule.restore_at(t + 0.5 * kPeriod, victim);
-    t += kPeriod;
-  }
-  schedule.arm(trig.sim);
+  // 12 flaps, half a hold-down window apart (hold-down = 2 periods): fail at
+  // 80P + iP, restore half a period later.
+  sim::ChurnEngine churn(trig.topo);
+  churn.flap(victim, 80 * kPeriod, 0.5 * kPeriod, 12);
+  churn.arm(trig.sim);
+  const double t = 92 * kPeriod;  // end of the flap window
   trig.sim.start();
   trig.sim.run_until(80 * kPeriod);
   const uint64_t triggered_before = trig.stat_sum(&ContraSwitchStats::probes_triggered);
@@ -190,10 +187,9 @@ TEST(TriggeredUpdates, RecoveryResyncRestoresFixedPoint) {
   auto run_mode = [&](TriggeredWorld& world) {
     const topology::LinkId victim =
         world.topo.link_between(world.topo.find("a0_0"), world.topo.find("c0"));
-    sim::FailureSchedule schedule;
-    schedule.fail_at(80 * kPeriod, victim);
-    schedule.restore_at(140 * kPeriod, victim);
-    schedule.arm(world.sim);
+    sim::ChurnEngine churn(world.topo);
+    churn.srg({victim}, 80 * kPeriod, 140 * kPeriod);
+    churn.arm(world.sim);
     world.sim.start();
     world.sim.run_until(400 * kPeriod);
   };

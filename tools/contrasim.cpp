@@ -33,6 +33,7 @@
 #include "oracle/audit.h"
 #include "sim/churn_engine.h"
 #include "sim/fluid.h"
+#include "sim/host.h"
 #include "sim/parallel_simulator.h"
 #include "sim/transport.h"
 #include "util/logging.h"
