@@ -50,11 +50,9 @@ ClassifiedNetwork install_classified_network(sim::Simulator& sim,
   for (const compiler::CompileResult& cls : compiled.classes) {
     network.evaluators.emplace_back(cls.graph, cls.decomposition);
   }
-  for (topology::NodeId n = 0; n < sim.topo().num_nodes(); ++n) {
-    auto sw = std::make_unique<ClassifiedContraSwitch>(compiled, network.evaluators, n, options);
-    ClassifiedContraSwitch* raw = sw.get();
-    if (sim.install_switch(n, std::move(sw))) network.switches.push_back(raw);
-  }
+  network.switches = install_switches(sim, [&](topology::NodeId n) {
+    return std::make_unique<ClassifiedContraSwitch>(compiled, network.evaluators, n, options);
+  });
   return network;
 }
 

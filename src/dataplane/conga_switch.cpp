@@ -99,8 +99,7 @@ void CongaSwitch::forward_from_leaf(Simulator& sim, Packet&& packet) {
   }
 
   if (packet.dst_switch == self_) {
-    ++stats_.data_to_host;
-    sim.send_to_host(packet.dst_host, std::move(packet));
+    deliver_to_host(sim, stats_, std::move(packet));
     return;
   }
 
@@ -138,48 +137,20 @@ void CongaSwitch::forward_from_leaf(Simulator& sim, Packet&& packet) {
     }
   }
   packet.conga = conga;
-
-  if (packet.routing.ttl == 0) {
-    ++stats_.data_dropped_ttl;
-    telemetry_->metrics().add(telemetry_->core().data_dropped_ttl);
-    return;
-  }
-  --packet.routing.ttl;
-  ++stats_.data_forwarded;
-  telemetry_->metrics().add(telemetry_->core().data_forwarded);
-  sim.send_on_link(out, std::move(packet));
+  forward_data_packet(sim, stats_, out, std::move(packet));
 }
 
 void CongaSwitch::forward_from_spine(Simulator& sim, Packet&& packet) {
   const LinkId down = sim.topo().link_between(self_, packet.dst_switch);
-  if (down == topology::kInvalidLink) {
-    ++stats_.data_dropped_no_route;
-    telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
-    return;
-  }
-  if (packet.conga) {
+  if (down != topology::kInvalidLink && packet.conga) {
     packet.conga->metric =
         std::max(packet.conga->metric, static_cast<float>(sim.link(down).utilization()));
   }
-  if (packet.routing.ttl == 0) {
-    ++stats_.data_dropped_ttl;
-    telemetry_->metrics().add(telemetry_->core().data_dropped_ttl);
-    return;
-  }
-  --packet.routing.ttl;
-  ++stats_.data_forwarded;
-  telemetry_->metrics().add(telemetry_->core().data_forwarded);
-  sim.send_on_link(down, std::move(packet));
+  forward_data_packet(sim, stats_, down, std::move(packet));
 }
 
 std::vector<CongaSwitch*> install_conga_network(sim::Simulator& sim, CongaOptions options) {
-  std::vector<CongaSwitch*> switches;
-  for (NodeId n = 0; n < sim.topo().num_nodes(); ++n) {
-    auto sw = std::make_unique<CongaSwitch>(n, options);
-    CongaSwitch* raw = sw.get();
-    if (sim.install_switch(n, std::move(sw))) switches.push_back(raw);
-  }
-  return switches;
+  return install_switches(sim, [&](NodeId n) { return std::make_unique<CongaSwitch>(n, options); });
 }
 
 }  // namespace contra::dataplane

@@ -34,7 +34,7 @@ struct CongaOptions {
   double flowlet_timeout_s = 200e-6;
 };
 
-struct CongaStats : BaselineStats {
+struct CongaStats : DataStats {
   uint64_t feedback_sent = 0;
   uint64_t feedback_received = 0;
 };

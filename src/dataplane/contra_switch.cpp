@@ -862,8 +862,7 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
 
   if (in_link == sim::kFromHost) {
     if (packet.dst_switch == self_) {  // same-rack delivery
-      ++stats_.data_to_host;
-      sim.send_to_host(packet.dst_host, std::move(packet));
+      deliver_to_host(sim, stats_, std::move(packet));
       return;
     }
     // First switch: BestT selection stamps (tag, pid) — the s() rank over
@@ -873,8 +872,7 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
     const auto stamp =
         source_stamp(pin == source_pins_.end() ? nullptr : &pin->second, packet.dst_switch, now);
     if (!stamp) {
-      ++stats_.data_dropped_no_route;
-      telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
+      forward_data_packet(sim, stats_, topology::kInvalidLink, std::move(packet));
       return;
     }
     source_pins_[fid] = *stamp;
@@ -898,8 +896,7 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
   }
 
   if (packet.dst_switch == self_) {
-    ++stats_.data_to_host;
-    sim.send_to_host(packet.dst_host, std::move(packet));
+    deliver_to_host(sim, stats_, std::move(packet));
     return;
   }
 
@@ -916,27 +913,15 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
   const HopDecision hop = decide(flowlets_.lookup(fkey, now), packet.dst_switch,
                                  packet.routing.tag, packet.routing.pid, now);
   if (hop.stale_pin) flowlets_.flush(fkey, now);
-  if (hop.nhop == topology::kInvalidLink) {
-    ++stats_.data_dropped_no_route;
-    telemetry_->metrics().add(telemetry_->core().data_dropped_no_route);
-    return;
+  if (hop.nhop != topology::kInvalidLink) {
+    if (hop.from_pin) {
+      flowlets_.touch(fkey, now);
+    } else {
+      flowlets_.pin(fkey, FlowletEntry{hop.nhop, hop.ntag, packet.routing.pid, now}, now);
+    }
   }
-  if (hop.from_pin) {
-    flowlets_.touch(fkey, now);
-  } else {
-    flowlets_.pin(fkey, FlowletEntry{hop.nhop, hop.ntag, packet.routing.pid, now}, now);
-  }
-
-  if (packet.routing.ttl == 0) {
-    ++stats_.data_dropped_ttl;
-    telemetry_->metrics().add(telemetry_->core().data_dropped_ttl);
-    return;
-  }
-  --packet.routing.ttl;
   packet.routing.tag = hop.ntag;
-  ++stats_.data_forwarded;
-  telemetry_->metrics().add(telemetry_->core().data_forwarded);
-  sim.send_on_link(hop.nhop, std::move(packet));
+  forward_data_packet(sim, stats_, hop.nhop, std::move(packet));
 }
 
 LinkId ContraSwitch::fluid_next_hop(const Simulator& sim, NodeId dst_switch,
@@ -1060,14 +1045,9 @@ std::vector<ContraSwitch*> install_contra_network(Simulator& sim,
                                                   const compiler::CompileResult& compiled,
                                                   const pg::PolicyEvaluator& evaluator,
                                                   ContraSwitchOptions options) {
-  std::vector<ContraSwitch*> switches;
-  switches.reserve(sim.topo().num_nodes());
-  for (NodeId n = 0; n < sim.topo().num_nodes(); ++n) {
-    auto sw = std::make_unique<ContraSwitch>(compiled, evaluator, n, options);
-    ContraSwitch* raw = sw.get();
-    if (sim.install_switch(n, std::move(sw))) switches.push_back(raw);
-  }
-  return switches;
+  return install_switches(sim, [&](NodeId n) {
+    return std::make_unique<ContraSwitch>(compiled, evaluator, n, options);
+  });
 }
 
 }  // namespace contra::dataplane

@@ -27,6 +27,7 @@
 #include "compiler/compiler.h"
 #include "dataplane/flowlet_table.h"
 #include "dataplane/loop_detector.h"
+#include "dataplane/plane.h"
 #include "dataplane/probe_engine.h"
 #include "pg/policy_eval.h"
 #include "sim/node.h"
@@ -132,7 +133,7 @@ struct ContraSwitchOptions {
   uint32_t traffic_class_id = 0;
 };
 
-struct ContraSwitchStats {
+struct ContraSwitchStats : DataStats {
   uint64_t probes_originated = 0;
   uint64_t probes_received = 0;
   uint64_t probes_propagated = 0;
@@ -146,10 +147,6 @@ struct ContraSwitchStats {
   uint64_t keepalive_probes = 0;     ///< probes received on keepalive refresh rounds
   uint64_t probes_withdrawn = 0;     ///< poison (withdraw) advert copies sent
   uint64_t fwdt_updates = 0;
-  uint64_t data_forwarded = 0;
-  uint64_t data_to_host = 0;
-  uint64_t data_dropped_no_route = 0;
-  uint64_t data_dropped_ttl = 0;
   uint64_t loops_broken = 0;
   uint64_t looped_packets_seen = 0;  ///< exact revisit count (§6.5 metric)
 };

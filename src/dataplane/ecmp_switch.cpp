@@ -9,22 +9,11 @@ void EcmpSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
   (void)in_link;
   if (packet.kind == sim::PacketKind::kProbe) return;  // no probes in ECMP
   if (packet.dst_switch == self_) {
-    ++stats_.data_to_host;
-    sim.send_to_host(packet.dst_host, std::move(packet));
+    deliver_to_host(sim, stats_, std::move(packet));
     return;
   }
   const topology::LinkId nhop = pick(sim, packet.dst_switch, packet.tuple);
-  if (nhop == topology::kInvalidLink) {
-    ++stats_.data_dropped_no_route;
-    return;
-  }
-  if (packet.routing.ttl == 0) {
-    ++stats_.data_dropped_ttl;
-    return;
-  }
-  --packet.routing.ttl;
-  ++stats_.data_forwarded;
-  sim.send_on_link(nhop, std::move(packet));
+  forward_data_packet(sim, stats_, nhop, std::move(packet));
 }
 
 topology::LinkId EcmpSwitch::fluid_next_hop(const sim::Simulator& sim,
@@ -61,13 +50,9 @@ std::vector<EcmpSwitch*> install_ecmp_network(sim::Simulator& sim) {
   // a steady-state asymmetric topology, as in Fig. 12).
   auto table = std::make_shared<const EcmpSwitch::EcmpTable>(compute_ecmp_next_hops(
       sim.topo(), [&sim](topology::LinkId l) { return !sim.link(l).down(); }));
-  std::vector<EcmpSwitch*> switches;
-  for (topology::NodeId n = 0; n < sim.topo().num_nodes(); ++n) {
-    auto sw = std::make_unique<EcmpSwitch>(table, n);
-    EcmpSwitch* raw = sw.get();
-    if (sim.install_switch(n, std::move(sw))) switches.push_back(raw);
-  }
-  return switches;
+  return install_switches(sim, [&](topology::NodeId n) {
+    return std::make_unique<EcmpSwitch>(table, n);
+  });
 }
 
 }  // namespace contra::dataplane

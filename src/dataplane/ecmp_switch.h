@@ -4,18 +4,12 @@
 
 #include <memory>
 
+#include "dataplane/plane.h"
 #include "dataplane/routing_tables.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
 
 namespace contra::dataplane {
-
-struct BaselineStats {
-  uint64_t data_forwarded = 0;
-  uint64_t data_to_host = 0;
-  uint64_t data_dropped_no_route = 0;
-  uint64_t data_dropped_ttl = 0;
-};
 
 class EcmpSwitch : public sim::Device {
  public:
@@ -32,7 +26,7 @@ class EcmpSwitch : public sim::Device {
                                   sim::RoutingState& routing) const override;
   const char* kind_name() const override { return "ecmp"; }
 
-  const BaselineStats& stats() const { return stats_; }
+  const DataStats& stats() const { return stats_; }
 
  private:
   /// The decide step: the group member toward `dst_switch` that `tuple`
@@ -43,7 +37,7 @@ class EcmpSwitch : public sim::Device {
 
   std::shared_ptr<const EcmpTable> table_;
   topology::NodeId self_;
-  BaselineStats stats_;
+  DataStats stats_;
 };
 
 /// Installs ECMP switches everywhere (table computed once, shared).

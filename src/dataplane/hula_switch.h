@@ -21,31 +21,21 @@
 
 namespace contra::dataplane {
 
+/// Probe periods of silence on a link before HULA presumes it failed.
+inline constexpr double kHulaFailureDetectPeriods = 3.0;
+/// Probe periods a best-hop entry stays usable without a refresh.
+inline constexpr double kHulaMetricExpiryPeriods = 12.0;
+inline constexpr uint32_t kHulaProbeBytes = 64;
+
 struct HulaOptions {
   double probe_period_s = 256e-6;
   double flowlet_timeout_s = 200e-6;
-  double failure_detect_periods = 3.0;
-  double metric_expiry_periods = 12.0;
-  uint32_t probe_bytes = 64;
-
-  /// Triggered-update mode (DESIGN.md §12, HULA flavor): a ToR emits a probe
-  /// round only on keepalive rounds, when a local cable changed state, or
-  /// when the quantized utilization of one of its links drifted. Origination
-  /// is already rate-limited to one round per period, which doubles as the
-  /// hold-down. Staleness/failure windows scale by keepalive_rounds.
-  bool triggered_updates = false;
-  uint32_t keepalive_rounds = 32;
-  /// Quantization step for the drift detector (the register granularity the
-  /// Contra plane uses for the same purpose).
-  double util_quantum = 1.0 / 64;
 };
 
-struct HulaStats : BaselineStats {
+struct HulaStats : DataStats {
   uint64_t probes_originated = 0;
   uint64_t probes_received = 0;
   uint64_t probes_propagated = 0;
-  uint64_t probes_triggered = 0;   ///< non-keepalive rounds emitted on drift/link events
-  uint64_t keepalive_probes = 0;   ///< probes received on keepalive rounds
 };
 
 class HulaSwitch : public sim::Device {
@@ -55,9 +45,6 @@ class HulaSwitch : public sim::Device {
   void start(sim::Simulator& sim) override;
   void handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                      topology::LinkId in_link) override;
-  /// Port signal (triggered mode only): instant failure presumption on
-  /// down; ToRs queue an immediate re-origination either way.
-  void handle_link_state(sim::Simulator& sim, topology::LinkId link, bool up) override;
   /// Hybrid engine route query: forward_data's decide step over a read-only
   /// view of the flowlets (FlowletTable::peek) — never pins, touches,
   /// flushes, or counts.
@@ -92,24 +79,9 @@ class HulaSwitch : public sim::Device {
   bool entry_usable(const BestHop& entry, sim::Time now) const;
   void bind_telemetry(sim::Simulator& sim);
 
-  /// Probe periods a protocol timing window spans (×keepalive cadence in
-  /// triggered mode — silence between keepalives is healthy).
-  double window_scale() const {
-    return options_.triggered_updates && options_.keepalive_rounds > 1
-               ? static_cast<double>(options_.keepalive_rounds)
-               : 1.0;
-  }
-  bool keepalive_version(uint64_t version) const {
-    return options_.keepalive_rounds <= 1 || version % options_.keepalive_rounds == 1;
-  }
-
   topology::NodeId self_;
   HulaOptions options_;
   topology::FatTreeLayer layer_ = topology::FatTreeLayer::kUnknown;
-  /// Triggered mode: last quantized utilization seen per out-link (drift
-  /// detector) and the port-signal re-origination flag.
-  std::vector<double> link_util_adv_;
-  bool pending_trigger_ = false;
 
   std::unordered_map<topology::NodeId, BestHop> best_;
   FlowletTable flowlets_;

@@ -8,44 +8,29 @@ void SpainSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
                                 topology::LinkId in_link) {
   if (packet.kind == sim::PacketKind::kProbe) return;
   if (packet.dst_switch == self_) {
-    ++stats_.data_to_host;
-    sim.send_to_host(packet.dst_host, std::move(packet));
+    deliver_to_host(sim, stats_, std::move(packet));
     return;
   }
   if (in_link == sim::kFromHost) {
     // Ingress: hash the flow onto one of the precomputed paths (the VLAN
     // choice in real SPAIN). Static for the flow's lifetime.
     const uint32_t n = routing_->num_paths(self_, packet.dst_switch);
-    if (n == 0) {
-      ++stats_.data_dropped_no_route;
+    if (n == 0) {  // no path at all: a no-route drop
+      forward_data_packet(sim, stats_, topology::kInvalidLink, std::move(packet));
       return;
     }
     packet.routing.path_id = util::hash_five_tuple(packet.tuple, /*seed=*/0x9747b28cu) % n;
   }
   const topology::LinkId hop =
       routing_->next_hop(packet.src_switch, packet.dst_switch, packet.routing.path_id, self_);
-  if (hop == topology::kInvalidLink) {
-    ++stats_.data_dropped_no_route;
-    return;
-  }
-  if (packet.routing.ttl == 0) {
-    ++stats_.data_dropped_ttl;
-    return;
-  }
-  --packet.routing.ttl;
-  ++stats_.data_forwarded;
-  sim.send_on_link(hop, std::move(packet));
+  forward_data_packet(sim, stats_, hop, std::move(packet));
 }
 
 std::vector<SpainSwitch*> install_spain_network(sim::Simulator& sim, uint32_t k) {
   auto routing = std::make_shared<const SpainRouting>(sim.topo(), k);
-  std::vector<SpainSwitch*> switches;
-  for (topology::NodeId n = 0; n < sim.topo().num_nodes(); ++n) {
-    auto sw = std::make_unique<SpainSwitch>(routing, n);
-    SpainSwitch* raw = sw.get();
-    if (sim.install_switch(n, std::move(sw))) switches.push_back(raw);
-  }
-  return switches;
+  return install_switches(sim, [&](topology::NodeId n) {
+    return std::make_unique<SpainSwitch>(routing, n);
+  });
 }
 
 }  // namespace contra::dataplane

@@ -21,12 +21,12 @@ class SpainSwitch : public sim::Device {
                      topology::LinkId in_link) override;
   const char* kind_name() const override { return "spain"; }
 
-  const BaselineStats& stats() const { return stats_; }
+  const DataStats& stats() const { return stats_; }
 
  private:
   std::shared_ptr<const SpainRouting> routing_;
   topology::NodeId self_;
-  BaselineStats stats_;
+  DataStats stats_;
 };
 
 std::vector<SpainSwitch*> install_spain_network(sim::Simulator& sim, uint32_t k = 4);

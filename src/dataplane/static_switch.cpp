@@ -7,34 +7,18 @@ void StaticSwitch::handle_packet(sim::Simulator& sim, sim::Packet&& packet,
   (void)in_link;
   if (packet.kind == sim::PacketKind::kProbe) return;
   if (packet.dst_switch == self_) {
-    ++stats_.data_to_host;
-    sim.send_to_host(packet.dst_host, std::move(packet));
+    deliver_to_host(sim, stats_, std::move(packet));
     return;
   }
-  const topology::LinkId hop = (*table_)[self_][packet.dst_switch];
-  if (hop == topology::kInvalidLink) {
-    ++stats_.data_dropped_no_route;
-    return;
-  }
-  if (packet.routing.ttl == 0) {
-    ++stats_.data_dropped_ttl;
-    return;
-  }
-  --packet.routing.ttl;
-  ++stats_.data_forwarded;
-  sim.send_on_link(hop, std::move(packet));
+  forward_data_packet(sim, stats_, (*table_)[self_][packet.dst_switch], std::move(packet));
 }
 
 std::vector<StaticSwitch*> install_shortest_path_network(sim::Simulator& sim) {
   auto table =
       std::make_shared<const StaticSwitch::Table>(compute_shortest_next_hops(sim.topo()));
-  std::vector<StaticSwitch*> switches;
-  for (topology::NodeId n = 0; n < sim.topo().num_nodes(); ++n) {
-    auto sw = std::make_unique<StaticSwitch>(table, n);
-    StaticSwitch* raw = sw.get();
-    if (sim.install_switch(n, std::move(sw))) switches.push_back(raw);
-  }
-  return switches;
+  return install_switches(sim, [&](topology::NodeId n) {
+    return std::make_unique<StaticSwitch>(table, n);
+  });
 }
 
 }  // namespace contra::dataplane

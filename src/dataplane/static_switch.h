@@ -30,12 +30,12 @@ class StaticSwitch : public sim::Device {
   }
   const char* kind_name() const override { return "shortest-path"; }
 
-  const BaselineStats& stats() const { return stats_; }
+  const DataStats& stats() const { return stats_; }
 
  private:
   std::shared_ptr<const Table> table_;
   topology::NodeId self_;
-  BaselineStats stats_;
+  DataStats stats_;
 };
 
 std::vector<StaticSwitch*> install_shortest_path_network(sim::Simulator& sim);

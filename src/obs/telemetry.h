@@ -25,7 +25,7 @@ struct CoreMetrics {
   CounterId fwdt_updates, route_flips;
   // Dense-table control plane (contra).
   CounterId probes_suppressed, dense_fallback_hits;
-  // Triggered-update control plane (contra + hula; DESIGN.md §12).
+  // Triggered-update control plane (contra; DESIGN.md §12).
   CounterId probes_triggered;          ///< probe copies sent by triggered emissions
   CounterId probes_holddown_deferred;  ///< trigger requests parked by the hold-down timer
   CounterId keepalive_probes;          ///< probes received on keepalive refresh rounds
@@ -38,7 +38,7 @@ struct CoreMetrics {
   CounterId link_down_events, link_up_events;
   // Link-level loss.
   CounterId link_drops, link_ecn_marks;
-  // Data forwarding outcomes.
+  // Data forwarding outcomes (every plane; dataplane/plane.h).
   CounterId data_forwarded, data_dropped_no_route, data_dropped_ttl;
   // Transport.
   CounterId tcp_rto_fired, tcp_fast_retx, flows_started, flows_completed;

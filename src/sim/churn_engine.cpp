@@ -250,13 +250,24 @@ std::vector<ArmItem> arm_order(const std::vector<ArmItem>& unsorted) {
 }
 }  // namespace
 
-void ChurnEngine::arm(Simulator& sim) const {
+void ChurnEngine::arm(Simulator& sim) const { arm_into(sim, /*wave_markers=*/true); }
+
+void ChurnEngine::arm(ParallelSimulator& psim) const {
+  // Every shard arms the whole schedule: cable and gray events change every
+  // replica and are reported by the link's owner (Simulator::owns_link),
+  // restarts land on the shard owning the switch, and the wave markers fire
+  // on shard 0, once.
+  for (uint32_t s = 0; s < psim.num_shards(); ++s) arm_into(psim.shard_sim(s), s == 0);
+}
+
+void ChurnEngine::arm_into(Simulator& sim, bool wave_markers) const {
   std::vector<ArmItem> items;
   items.reserve(waves_.size() + events_.size());
   for (size_t i = 0; i < waves_.size(); ++i) items.push_back({waves_[i].at, true, i});
   for (size_t i = 0; i < events_.size(); ++i) items.push_back({events_[i].at, false, i});
   for (const ArmItem& item : arm_order(items)) {
     if (item.is_wave) {
+      if (!wave_markers) continue;
       const Wave wave = waves_[item.index];
       sim.events().schedule_at(wave.at,
                                [&sim, wave] { sim.note_churn_wave(wave.cls, wave.index); });
@@ -274,36 +285,9 @@ void ChurnEngine::arm(Simulator& sim) const {
         sim.events().schedule_at(ev.at, [&sim, ev] { sim.set_cable_gray(ev.link, ev.gray); });
         break;
       case Op::kRestart:
-        sim.events().schedule_at(ev.at, [&sim, ev] { sim.restart_switch(ev.node); });
-        break;
-    }
-  }
-}
-
-void ChurnEngine::arm(ParallelSimulator& psim) const {
-  std::vector<ArmItem> items;
-  items.reserve(waves_.size() + events_.size());
-  for (size_t i = 0; i < waves_.size(); ++i) items.push_back({waves_[i].at, true, i});
-  for (size_t i = 0; i < events_.size(); ++i) items.push_back({events_[i].at, false, i});
-  for (const ArmItem& item : arm_order(items)) {
-    if (item.is_wave) {
-      const Wave& wave = waves_[item.index];
-      psim.schedule_churn_wave(wave.at, wave.cls, wave.index);
-      continue;
-    }
-    const Event& ev = events_[item.index];
-    switch (ev.op) {
-      case Op::kFail:
-        psim.schedule_cable_event(ev.at, ev.link, /*down=*/true);
-        break;
-      case Op::kRestore:
-        psim.schedule_cable_event(ev.at, ev.link, /*down=*/false);
-        break;
-      case Op::kGraySet:
-        psim.schedule_gray_event(ev.at, ev.link, ev.gray);
-        break;
-      case Op::kRestart:
-        psim.schedule_restart_event(ev.at, ev.node);
+        if (sim.owns(ev.node)) {
+          sim.events().schedule_at(ev.at, [&sim, ev] { sim.restart_switch(ev.node); });
+        }
         break;
     }
   }

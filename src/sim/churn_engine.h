@@ -72,7 +72,10 @@ class ChurnEngine {
 
   // ----- arming -------------------------------------------------------------
 
+  /// Schedules every wave marker and fault event on `sim`'s queue, in
+  /// global time order with wave markers first at equal times.
   void arm(Simulator& sim) const;
+  /// The same arming on every shard simulator (DESIGN.md §8 owner rule).
   void arm(ParallelSimulator& psim) const;
 
   size_t num_events() const { return events_.size(); }
@@ -106,6 +109,9 @@ class ChurnEngine {
     std::string what;  ///< describe() text
   };
 
+  /// The one arming body: wave markers only when `wave_markers`, restarts
+  /// only where `sim` owns the switch.
+  void arm_into(Simulator& sim, bool wave_markers) const;
   uint32_t begin_wave(FaultClass cls, Time at, std::string what);
   void push(Event ev) { events_.push_back(ev); }
   uint64_t gray_salt(topology::LinkId link, uint32_t wave) const;

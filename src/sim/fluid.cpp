@@ -32,15 +32,12 @@ FluidEngine::FluidEngine(FluidConfig config) : config_(config) {
 
 void FluidEngine::bind(Simulator& sim) {
   sims_ = {&sim};
-  shard_of_ = nullptr;
   serial_ = true;
   serial_sim_ = &sim;
 }
 
-void FluidEngine::bind_shards(std::vector<Simulator*> sims,
-                              std::function<uint32_t(topology::NodeId)> shard_of) {
+void FluidEngine::bind_shards(std::vector<Simulator*> sims) {
   sims_ = std::move(sims);
-  shard_of_ = std::move(shard_of);
   serial_ = false;
   serial_sim_ = nullptr;
 }
@@ -62,19 +59,19 @@ void FluidEngine::ensure_link_tables() {
   loaded_links_.clear();
   loaded_links_.reserve(n);
   wf_heap_.reserve(2 * n);
-  if (shard_of_) {
-    Simulator& s0 = *sims_[0];
-    const topology::Topology& topo = s0.topo();
-    for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
-      link_owner_[l] = shard_of_(topo.link(l).from);
-    }
-    // Host links live with the shard owning the attach switch (the only
-    // shard whose replica ever transmits on them).
-    for (HostId h = 0; h < s0.num_hosts(); ++h) {
-      const uint32_t shard = shard_of_(s0.host_switch(h));
-      link_owner_[s0.host_uplink_id(h)] = shard;
-      link_owner_[s0.host_downlink_id(h)] = shard;
-    }
+  // Every node and link has exactly one owning simulator among sims_ (the
+  // only one with the device, or whose replica transmits on the link).
+  const auto owner = [this](auto&& owns) {
+    uint32_t s = 0;
+    while (s + 1 < sims_.size() && !owns(*sims_[s])) ++s;
+    return s;
+  };
+  for (topology::LinkId l = 0; l < n; ++l) {
+    link_owner_[l] = owner([l](const Simulator& sim) { return sim.owns_link(l); });
+  }
+  node_owner_.resize(sims_[0]->topo().num_nodes());
+  for (topology::NodeId node = 0; node < node_owner_.size(); ++node) {
+    node_owner_[node] = owner([node](const Simulator& sim) { return sim.owns(node); });
   }
 }
 

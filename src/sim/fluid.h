@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -66,11 +65,10 @@ class FluidEngine {
   void bind(Simulator& sim);
 
   /// Sharded engine: route queries and link reads/writes go to the shard
-  /// owning each node / link transmit side. Ticks are driven externally by
-  /// ParallelSimulator (next_wake / advance_to) on the main thread while
-  /// every shard is parked at the tick time.
-  void bind_shards(std::vector<Simulator*> sims,
-                   std::function<uint32_t(topology::NodeId)> shard_of);
+  /// that owns each node / link (Simulator::owns, owns_link). Ticks are
+  /// driven externally by ParallelSimulator (next_wake / advance_to) on the
+  /// main thread while every shard is parked at the tick time.
+  void bind_shards(std::vector<Simulator*> sims);
 
   const FluidConfig& config() const { return config_; }
   const FluidStats& stats() const { return stats_; }
@@ -132,7 +130,7 @@ class FluidEngine {
   };
 
   void ensure_link_tables();
-  Simulator& sim_for(topology::NodeId node) { return *sims_[shard_of_ ? shard_of_(node) : 0]; }
+  Simulator& sim_for(topology::NodeId node) { return *sims_[node_owner_[node]]; }
   /// Canonical replica of a link: the shard owning its transmit side (the
   /// only replica whose EWMA ever moves, and so the one probes read).
   Link& link_ref(topology::LinkId l) { return sims_[link_owner_[l]]->link(l); }
@@ -157,7 +155,7 @@ class FluidEngine {
   FluidStats stats_;
 
   std::vector<Simulator*> sims_;
-  std::function<uint32_t(topology::NodeId)> shard_of_;  ///< empty = serial
+  std::vector<uint32_t> node_owner_;  ///< index into sims_ of each node's owner
   bool serial_ = false;
   uint32_t num_links_ = 0;  ///< topology links + host links
 
@@ -180,7 +178,7 @@ class FluidEngine {
   std::vector<uint32_t> active_;
 
   // ----- per-link scratch (sized to num_links_, reset via touched list) ----
-  std::vector<uint32_t> link_owner_;  ///< owning shard per link (all 0 serial)
+  std::vector<uint32_t> link_owner_;  ///< index into sims_ of each link's owner
   std::vector<double> link_rate_;     ///< committed fluid goodput per link
   std::vector<double> wf_cap_;        ///< water-fill residual capacity
   std::vector<uint32_t> wf_nflows_;   ///< water-fill unfrozen flow count

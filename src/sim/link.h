@@ -35,6 +35,21 @@ struct LinkStats {
   uint64_t drops = 0;       ///< all kinds (incl. probes sent at down links)
   uint64_t drop_bytes = 0;
   uint64_t data_drops = 0;  ///< data/ACK packets only — the loss that hurts flows
+
+  LinkStats& operator+=(const LinkStats& o) {
+    tx_packets += o.tx_packets;
+    tx_bytes += o.tx_bytes;
+    tx_data_bytes += o.tx_data_bytes;
+    tx_ack_bytes += o.tx_ack_bytes;
+    tx_probe_bytes += o.tx_probe_bytes;
+    tx_data_packets += o.tx_data_packets;
+    tx_ack_packets += o.tx_ack_packets;
+    tx_probe_packets += o.tx_probe_packets;
+    drops += o.drops;
+    drop_bytes += o.drop_bytes;
+    data_drops += o.data_drops;
+    return *this;
+  }
 };
 
 class Link {
@@ -99,7 +114,6 @@ class Link {
   /// sees them; this term feeds their load into utilization() so probes and
   /// the routing metric react to the traffic the engine no longer simulates.
   void set_fluid_load_bps(double bps) { fluid_load_bps_ = bps; }
-  double fluid_load_bps() const { return fluid_load_bps_; }
 
   uint64_t queue_bytes() const { return queue_bytes_; }
   /// Effective serialization rate (gray capacity derate included).

@@ -400,65 +400,21 @@ void ParallelSimulator::flush_trace() {
 }
 
 void ParallelSimulator::fail_cable(topology::LinkId link) {
-  const uint32_t owner = partition_.shard(topo_->link(link).from);
-  for (auto& shard : shards_) {
-    if (shard->id == owner) {
-      shard->sim.fail_cable(link);
-    } else {
-      shard->sim.set_cable_state_quiet(link, true);
-    }
-  }
+  for (auto& shard : shards_) shard->sim.fail_cable(link);
 }
 
 void ParallelSimulator::restore_cable(topology::LinkId link) {
-  const uint32_t owner = partition_.shard(topo_->link(link).from);
-  for (auto& shard : shards_) {
-    if (shard->id == owner) {
-      shard->sim.restore_cable(link);
-    } else {
-      shard->sim.set_cable_state_quiet(link, false);
-    }
-  }
-}
-
-void ParallelSimulator::schedule_gray_event(Time t, topology::LinkId link, GrayParams gray) {
-  const uint32_t owner = partition_.shard(topo_->link(link).from);
-  for (auto& shard : shards_) {
-    Simulator* sim = &shard->sim;
-    const bool loud = shard->id == owner;
-    shard->sim.events().schedule_at(t, [sim, link, gray, loud] {
-      if (loud) {
-        sim->set_cable_gray(link, gray);
-      } else {
-        sim->set_cable_gray_quiet(link, gray);
-      }
-    });
-  }
-}
-
-void ParallelSimulator::schedule_restart_event(Time t, topology::NodeId node) {
-  const uint32_t owner = partition_.shard(node);
-  Simulator* sim = &shards_[owner]->sim;
-  sim->events().schedule_at(t, [sim, node] { sim->restart_switch(node); });
-}
-
-void ParallelSimulator::schedule_churn_wave(Time t, obs::FaultClass cls, uint32_t wave_index) {
-  Simulator* sim = &shards_[0]->sim;
-  sim->events().schedule_at(t, [sim, cls, wave_index] { sim->note_churn_wave(cls, wave_index); });
+  for (auto& shard : shards_) shard->sim.restore_cable(link);
 }
 
 void ParallelSimulator::schedule_cable_event(Time t, topology::LinkId link, bool down) {
-  const uint32_t owner = partition_.shard(topo_->link(link).from);
   for (auto& shard : shards_) {
     Simulator* sim = &shard->sim;
-    const bool loud = shard->id == owner;
-    shard->sim.events().schedule_at(t, [sim, link, down, loud] {
-      if (loud && down) {
+    sim->events().schedule_at(t, [sim, link, down] {
+      if (down) {
         sim->fail_cable(link);
-      } else if (loud) {
-        sim->restore_cable(link);
       } else {
-        sim->set_cable_state_quiet(link, down);
+        sim->restore_cable(link);
       }
     });
   }
@@ -466,20 +422,7 @@ void ParallelSimulator::schedule_cable_event(Time t, topology::LinkId link, bool
 
 LinkStats ParallelSimulator::aggregate_fabric_stats() const {
   LinkStats total;
-  for (const auto& shard : shards_) {
-    const LinkStats s = shard->sim.aggregate_fabric_stats();
-    total.tx_packets += s.tx_packets;
-    total.tx_bytes += s.tx_bytes;
-    total.tx_data_bytes += s.tx_data_bytes;
-    total.tx_ack_bytes += s.tx_ack_bytes;
-    total.tx_probe_bytes += s.tx_probe_bytes;
-    total.tx_data_packets += s.tx_data_packets;
-    total.tx_ack_packets += s.tx_ack_packets;
-    total.tx_probe_packets += s.tx_probe_packets;
-    total.drops += s.drops;
-    total.drop_bytes += s.drop_bytes;
-    total.data_drops += s.data_drops;
-  }
+  for (const auto& shard : shards_) total += shard->sim.aggregate_fabric_stats();
   return total;
 }
 
@@ -523,9 +466,7 @@ ParallelTransport::ParallelTransport(ParallelSimulator& psim, TransportConfig co
     std::vector<Simulator*> sims;
     sims.reserve(psim.num_shards());
     for (uint32_t s = 0; s < psim.num_shards(); ++s) sims.push_back(&psim.shard_sim(s));
-    ParallelSimulator* ps = &psim;
-    fluid_->bind_shards(std::move(sims),
-                        [ps](topology::NodeId node) { return ps->shard_of_node(node); });
+    fluid_->bind_shards(std::move(sims));
     psim.set_fluid(fluid_.get());
   }
   transports_.reserve(psim.num_shards());

@@ -135,21 +135,15 @@ class ParallelSimulator {
 
   // ----- failure injection -------------------------------------------------
 
-  /// Immediate fail/restore on every shard's replica; telemetry and logging
-  /// fire once, on the shard owning the link's transmit side.
+  /// Immediate fail/restore: the same Simulator call on every shard, so
+  /// every replica changes and the shard owning the link's transmit side
+  /// reports it, once (Simulator::owns_link).
   void fail_cable(topology::LinkId link);
   void restore_cable(topology::LinkId link);
-  /// Pre-run scheduling of a mid-run failure: every shard applies the state
-  /// change at local time `t` inside its own epoch.
+  /// Pre-run scheduling of a mid-run failure: every shard makes the same
+  /// call at local time `t` inside its own epoch. (ChurnEngine::arm drives
+  /// richer schedules through the shard simulators the same way.)
   void schedule_cable_event(Time t, topology::LinkId link, bool down);
-
-  // Churn engine hooks (DESIGN.md §13). Gray state replicates to every
-  // shard's link replicas (loud on the owner, like cable events); a restart
-  // is scheduled only on the shard owning the device; the wave marker fires
-  // on shard 0, once.
-  void schedule_gray_event(Time t, topology::LinkId link, GrayParams gray);
-  void schedule_restart_event(Time t, topology::NodeId node);
-  void schedule_churn_wave(Time t, obs::FaultClass cls, uint32_t wave_index);
 
   // ----- run ---------------------------------------------------------------
 
@@ -257,7 +251,6 @@ class ParallelTransport {
   uint64_t total_reordered_packets() const;
   uint64_t udp_bytes_received() const;
 
-  TransportManager& shard_transport(uint32_t shard) { return *transports_[shard]; }
   const TransportConfig& config() const { return config_; }
 
   /// Attaches one obs::FlowTracker per shard (and turns on path-signature
@@ -268,7 +261,6 @@ class ParallelTransport {
   /// INT hop records (deterministic in (flow_id, seq)).
   void enable_flow_tracking(uint32_t path_sample_every = 0);
   bool flow_tracking() const { return !trackers_.empty(); }
-  obs::FlowTracker& shard_flow_tracker(uint32_t shard) { return *trackers_[shard]; }
   obs::FlowTracker merged_flow_tracker() const;
 
   /// The shared hybrid fluid engine (DESIGN.md §14); nullptr unless

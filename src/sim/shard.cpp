@@ -6,18 +6,15 @@ namespace contra::sim {
 
 Shard::Shard(uint32_t shard_id, const topology::Topology& topo, const SimConfig& config,
              const topology::Partition& partition)
-    : id(shard_id), sim(topo, config), outbox(partition.num_shards) {
-  sim.set_install_filter(
-      [&partition, shard_id](topology::NodeId node) { return partition.shard(node) == shard_id; });
+    : id(shard_id), sim(topo, config, &partition, shard_id), outbox(partition.num_shards) {
   // Disjoint id namespaces per shard; shard 0 matches the serial sequences
   // exactly, so a 1-shard parallel run digests identically to the serial
   // engine.
   sim.set_next_packet_id((static_cast<uint64_t>(shard_id) << 48) + 1);
 
   for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
-    const topology::DirectedLink& dl = topo.link(l);
-    if (partition.shard(dl.from) != shard_id) continue;  // not ours to transmit on
-    const uint32_t peer = partition.shard(dl.to);
+    if (!sim.owns_link(l)) continue;  // not ours to transmit on
+    const uint32_t peer = partition.shard(topo.link(l).to);
     if (peer == shard_id) continue;
     Mailbox* box = &outbox[peer];
     sim.link(l).set_remote_forward(

@@ -1,7 +1,7 @@
 // One shard of the parallel simulation engine (DESIGN.md §8).
 //
-// A shard is a complete Simulator over the *shared* topology, restricted by
-// an install filter to the switches its partition slice owns, plus the
+// A shard is a complete Simulator over the *shared* topology, built with its
+// partition slice so it owns (Simulator::owns) only its switches, plus the
 // outgoing mailboxes that carry packets whose next hop lives in another
 // shard. Replicating the Link array in every shard costs a few hundred bytes
 // per link and buys a big simplification: link ids, host ids and packet-id
@@ -87,9 +87,9 @@ class Mailbox {
 };
 
 struct Shard {
-  /// Builds the shard simulator and wires its ownership boundary: install
-  /// filter, id-namespace bases, and remote-forward hooks on every owned cut
-  /// link (each pushing into outbox[shard of the link's far end]).
+  /// Builds the shard simulator over its partition slice and wires its
+  /// ownership boundary: id-namespace bases and remote-forward hooks on every
+  /// owned cut link (each pushing into outbox[shard of the link's far end]).
   Shard(uint32_t shard_id, const topology::Topology& topo, const SimConfig& config,
         const topology::Partition& partition);
 

@@ -7,8 +7,9 @@
 
 namespace contra::sim {
 
-Simulator::Simulator(const topology::Topology& topo, SimConfig config)
-    : topo_(&topo), config_(config) {
+Simulator::Simulator(const topology::Topology& topo, SimConfig config,
+                     const topology::Partition* partition, uint32_t shard)
+    : topo_(&topo), config_(config), partition_(partition), shard_(shard) {
   devices_.resize(topo.num_nodes());
   wire_topology_links();
 }
@@ -55,11 +56,9 @@ HostId Simulator::add_host(topology::NodeId attach) {
   return host;
 }
 
-bool Simulator::install_switch(topology::NodeId node, std::unique_ptr<Device> device) {
+void Simulator::install_switch(topology::NodeId node, std::unique_ptr<Device> device) {
   if (node >= devices_.size()) throw std::out_of_range("install_switch: bad node id");
-  if (install_filter_ && !install_filter_(node)) return false;
-  devices_[node] = std::move(device);
-  return true;
+  if (owns(node)) devices_[node] = std::move(device);
 }
 
 void Simulator::start() {
@@ -91,57 +90,48 @@ bool Simulator::host_send(HostId host, Packet&& packet) {
   return links_.at(host_uplink_.at(host))->enqueue(std::move(packet));
 }
 
-void Simulator::fail_cable(topology::LinkId link) {
-  // Duplicate / overlapping schedule events are idempotent: a cable that is
-  // already down emits no second transition (no telemetry, no port signal),
-  // so a schedule with redundant events is byte-identical to the clean one.
-  if (links_.at(link)->down()) return;
-  links_.at(link)->set_down(true);
-  links_.at(topo_->link(link).reverse)->set_down(true);
-  ++link_state_generation_;
-  telemetry_.metrics().add(telemetry_.core().link_down_events);
-  if (telemetry_.tracing()) {
-    obs::TraceRecord r;
-    r.t = now();
-    r.ev = obs::Ev::kLinkDown;
-    r.link = link;
-    r.aux = topo_->link(link).reverse;
-    telemetry_.emit(r);
-  }
-  LOG_INFO("sim") << "cable " << topo_->name(topo_->link(link).from) << "-"
-                  << topo_->name(topo_->link(link).to) << " failed at t=" << now();
-  notify_link_state(link, /*up=*/false);
-}
+void Simulator::fail_cable(topology::LinkId link) { set_cable_state(link, /*down=*/true); }
 
-void Simulator::restore_cable(topology::LinkId link) {
-  if (!links_.at(link)->down()) return;  // idempotent (see fail_cable)
-  links_.at(link)->set_down(false);
-  links_.at(topo_->link(link).reverse)->set_down(false);
-  ++link_state_generation_;
-  telemetry_.metrics().add(telemetry_.core().link_up_events);
-  if (telemetry_.tracing()) {
-    obs::TraceRecord r;
-    r.t = now();
-    r.ev = obs::Ev::kLinkUp;
-    r.link = link;
-    r.aux = topo_->link(link).reverse;
-    telemetry_.emit(r);
-  }
-  notify_link_state(link, /*up=*/true);
-}
+void Simulator::restore_cable(topology::LinkId link) { set_cable_state(link, /*down=*/false); }
 
-void Simulator::set_cable_state_quiet(topology::LinkId link, bool down) {
-  // Mirror fail_cable/restore_cable's duplicate guard: replica shards must
-  // suppress the port signal on exactly the same events the owner does.
+void Simulator::set_cable_state(topology::LinkId link, bool down) {
+  // Duplicate / overlapping schedule events are idempotent: a cable already
+  // in the requested state emits no second transition (no telemetry, no port
+  // signal), so a schedule with redundant events is byte-identical to the
+  // clean one — on every replica alike.
   if (links_.at(link)->down() == down) return;
   links_.at(link)->set_down(down);
   links_.at(topo_->link(link).reverse)->set_down(down);
   ++link_state_generation_;
-  notify_link_state(link, !down);
+  if (owns_link(link)) {
+    telemetry_.metrics().add(down ? telemetry_.core().link_down_events
+                                  : telemetry_.core().link_up_events);
+    if (telemetry_.tracing()) {
+      obs::TraceRecord r;
+      r.t = now();
+      r.ev = down ? obs::Ev::kLinkDown : obs::Ev::kLinkUp;
+      r.link = link;
+      r.aux = topo_->link(link).reverse;
+      telemetry_.emit(r);
+    }
+    if (down) {
+      LOG_INFO("sim") << "cable " << topo_->name(topo_->link(link).from) << "-"
+                      << topo_->name(topo_->link(link).to) << " failed at t=" << now();
+    }
+  }
+  notify_link_state(link, /*up=*/!down);
 }
 
 void Simulator::set_cable_gray(topology::LinkId link, const GrayParams& gray) {
-  set_cable_gray_quiet(link, gray);
+  // Both directions share the degradation but draw independent loss
+  // sequences (the reverse direction salts differently), like a sick optic
+  // hurting both lanes.
+  GrayParams reverse = gray;
+  reverse.salt = util::mix64(gray.salt + 1);
+  links_.at(link)->set_gray(gray);
+  links_.at(topo_->link(link).reverse)->set_gray(reverse);
+  ++link_state_generation_;  // capacity/latency changed: fluid flows re-walk
+  if (!owns_link(link)) return;
   if (telemetry_.tracing()) {
     obs::TraceRecord r;
     r.t = now();
@@ -155,17 +145,6 @@ void Simulator::set_cable_gray(topology::LinkId link, const GrayParams& gray) {
                   << topo_->name(topo_->link(link).to) << " gray(loss=" << gray.loss_prob
                   << ", +delay=" << gray.extra_delay_s << "s, cap×" << gray.capacity_factor
                   << ") at t=" << now();
-}
-
-void Simulator::set_cable_gray_quiet(topology::LinkId link, const GrayParams& gray) {
-  // Both directions share the degradation but draw independent loss
-  // sequences (the reverse direction salts differently), like a sick optic
-  // hurting both lanes.
-  GrayParams reverse = gray;
-  reverse.salt = util::mix64(gray.salt + 1);
-  links_.at(link)->set_gray(gray);
-  links_.at(topo_->link(link).reverse)->set_gray(reverse);
-  ++link_state_generation_;  // capacity/latency changed: fluid flows re-walk
 }
 
 void Simulator::restart_switch(topology::NodeId node) {
@@ -211,20 +190,7 @@ void Simulator::notify_link_state(topology::LinkId link, bool up) {
 
 LinkStats Simulator::aggregate_fabric_stats() const {
   LinkStats total;
-  for (topology::LinkId id = 0; id < topo_->num_links(); ++id) {
-    const LinkStats& s = links_[id]->stats();
-    total.tx_packets += s.tx_packets;
-    total.tx_bytes += s.tx_bytes;
-    total.tx_data_bytes += s.tx_data_bytes;
-    total.tx_ack_bytes += s.tx_ack_bytes;
-    total.tx_probe_bytes += s.tx_probe_bytes;
-    total.tx_data_packets += s.tx_data_packets;
-    total.tx_ack_packets += s.tx_ack_packets;
-    total.tx_probe_packets += s.tx_probe_packets;
-    total.drops += s.drops;
-    total.drop_bytes += s.drop_bytes;
-    total.data_drops += s.data_drops;
-  }
+  for (topology::LinkId id = 0; id < topo_->num_links(); ++id) total += links_[id]->stats();
   return total;
 }
 

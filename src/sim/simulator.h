@@ -13,6 +13,7 @@
 #include "sim/link.h"
 #include "sim/node.h"
 #include "sim/packet.h"
+#include "topology/partitioner.h"
 #include "topology/topology.h"
 
 namespace contra::sim {
@@ -46,7 +47,11 @@ struct SimConfig {
 
 class Simulator {
  public:
-  Simulator(const topology::Topology& topo, SimConfig config);
+  /// A simulator built with a partition slice (`partition`, `shard`) is one
+  /// shard of the parallel engine (DESIGN.md §8); without one it owns
+  /// everything — the serial engine.
+  Simulator(const topology::Topology& topo, SimConfig config,
+            const topology::Partition* partition = nullptr, uint32_t shard = 0);
 
   const topology::Topology& topo() const { return *topo_; }
   const SimConfig& config() const { return config_; }
@@ -70,16 +75,24 @@ class Simulator {
   uint32_t num_hosts() const { return static_cast<uint32_t>(host_attach_.size()); }
   topology::NodeId host_switch(HostId host) const { return host_attach_.at(host); }
 
-  /// Restricts install_switch to nodes this simulator owns (parallel engine:
-  /// each shard instantiates only its own switches). Unset = accept all.
-  void set_install_filter(std::function<bool(topology::NodeId)> filter) {
-    install_filter_ = std::move(filter);
+  /// The owner rule of the parallel engine, in one place. Every shard keeps
+  /// a replica of every link, but a switch lives in exactly one shard and a
+  /// link belongs to the shard owning its sending side (host links go with
+  /// their attach switch). Only the owner installs the switch, transmits on
+  /// the link and reports the link's faults; every replica changes state.
+  bool owns(topology::NodeId node) const {
+    return partition_ == nullptr || partition_->shard(node) == shard_;
+  }
+  bool owns_link(topology::LinkId link) const {
+    if (link < topo_->num_links()) return owns(topo_->link(link).from);
+    // Host links follow the topology links as (uplink, downlink) pairs.
+    return owns(host_attach_.at((link - topo_->num_links()) / 2));
   }
 
-  /// Installs the device, unless an install filter rejects the node — then
-  /// the device is discarded and false is returned. Installers must not hand
-  /// out pointers to devices they installed without checking this.
-  bool install_switch(topology::NodeId node, std::unique_ptr<Device> device);
+  /// Installs the device when this simulator owns the node; otherwise the
+  /// device is discarded, so installers check owns() before handing out a
+  /// pointer to it.
+  void install_switch(topology::NodeId node, std::unique_ptr<Device> device);
   Device& device_at(topology::NodeId node) { return *devices_.at(node); }
   bool has_device(topology::NodeId node) const { return devices_.at(node) != nullptr; }
 
@@ -112,7 +125,6 @@ class Simulator {
   Link& link(topology::LinkId id) { return *links_.at(id); }
   const Link& link(topology::LinkId id) const { return *links_.at(id); }
   Link& host_uplink(HostId host) { return *links_.at(host_uplink_.at(host)); }
-  Link& host_downlink(HostId host) { return *links_.at(host_downlink_.at(host)); }
 
   /// Dense link-id views for the hybrid engine: topology link ids are
   /// [0, topo.num_links()); host up/downlinks follow in add_host order.
@@ -124,31 +136,30 @@ class Simulator {
     return static_cast<topology::LinkId>(host_downlink_.at(host));
   }
 
-  /// Bumped on every cable state transition (fail/restore/quiet replicas and
-  /// gray degradations). The hybrid engine polls it each quantum and re-walks
-  /// fluid flow paths when it moved — no cross-thread callbacks needed.
+  /// Bumped on every cable state transition (fail/restore and gray
+  /// degradations, on every replica). The hybrid engine polls it each
+  /// quantum and re-walks fluid flow paths when it moved — no cross-thread
+  /// callbacks needed.
   uint64_t link_state_generation() const { return link_state_generation_; }
 
   // ----- failure injection --------------------------------------------------
+
+  // Each fault changes this simulator's replica of the cable and signals the
+  // endpoint devices installed here, but reports (counter, trace record, log
+  // line) only when this simulator owns the link: the parallel engine makes
+  // the same call on every shard, and the owner's report is the one report.
 
   /// Fails/restores both directions of the cable containing `link`.
   void fail_cable(topology::LinkId link);
   void restore_cable(topology::LinkId link);
 
-  /// Same state change without telemetry/logging. The parallel engine keeps a
-  /// replica of every Link in every shard and applies failures to all of
-  /// them; only the owning shard reports the event (once), via fail_cable.
-  void set_cable_state_quiet(topology::LinkId link, bool down);
-
   /// Gray failure (DESIGN.md §13): degrades both directions of the cable
   /// containing `link` — loss probability, added latency, capacity derate.
-  /// All-defaults GrayParams heals the cable. The quiet variant mirrors
-  /// set_cable_state_quiet for non-owning parallel shards.
+  /// All-defaults GrayParams heals the cable.
   void set_cable_gray(topology::LinkId link, const GrayParams& gray);
-  void set_cable_gray_quiet(topology::LinkId link, const GrayParams& gray);
 
-  /// Control-plane restart of the device at `node` (no-op when this
-  /// simulator owns no device there — parallel shards call it blindly).
+  /// Control-plane restart of the device at `node` (no-op when no device is
+  /// installed there).
   void restart_switch(topology::NodeId node);
 
   /// Churn-engine wave marker: one churn_wave trace record + counter. The
@@ -171,6 +182,9 @@ class Simulator {
 
  private:
   void wire_topology_links();
+  /// fail_cable / restore_cable: the transition on this replica, reported
+  /// when owned.
+  void set_cable_state(topology::LinkId link, bool down);
   /// Port signal to both cable endpoints (devices installed here only — under
   /// the parallel engine each shard notifies the switches it owns, so every
   /// device hears each cable event exactly once).
@@ -178,6 +192,8 @@ class Simulator {
 
   const topology::Topology* topo_;
   SimConfig config_;
+  const topology::Partition* partition_;  ///< nullptr = owns everything
+  uint32_t shard_;
   obs::Telemetry telemetry_;  ///< before links_: links hold a pointer into it
   EventQueue events_;
 
@@ -190,7 +206,6 @@ class Simulator {
   std::vector<size_t> host_downlink_;  ///< switch -> host link index
 
   std::function<void(HostId, Packet&&)> host_receiver_;
-  std::function<bool(topology::NodeId)> install_filter_;
   uint64_t next_packet_id_ = 1;
   uint64_t link_state_generation_ = 0;
   bool flow_telemetry_ = false;

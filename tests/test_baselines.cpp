@@ -6,7 +6,9 @@
 #include "dataplane/hula_switch.h"
 #include "dataplane/spain_switch.h"
 #include "dataplane/static_switch.h"
+#include "obs/telemetry.h"
 #include "sim/host.h"
+#include "sim/parallel_simulator.h"
 #include "sim/transport.h"
 #include "topology/abilene.h"
 #include "topology/generators.h"
@@ -196,6 +198,54 @@ TEST(Baselines, ProbesIgnoredByStaticPlanes) {
   // Must not crash nor forward.
   switches[0]->handle_packet(sim, std::move(probe), sim::kFromHost);
   EXPECT_EQ(switches[0]->stats().data_forwarded, 0u);
+}
+
+// Every plane counts its data forwarding in the metrics registry, not only
+// in its switches' stats(): the merged registry of a sharded run must agree
+// with the switch-level sums for the static planes too.
+template <typename Install>
+void expect_registry_matches_switch_stats(const char* plane, Install install) {
+  const Topology topo = topology::fat_tree(4, topology::LinkParams{1e9, 1e-6});
+  sim::SimConfig config = gig_config();
+  config.shards = 2;
+  sim::ParallelSimulator psim(topo, config);
+  std::vector<const DataStats*> stats;
+  psim.for_each_shard([&](sim::Simulator& sim) {
+    for (const auto* sw : install(sim)) stats.push_back(&sw->stats());
+  });
+  ASSERT_EQ(stats.size(), topo.num_nodes()) << plane;
+  const auto hosts = sim::attach_hosts_to_fat_tree_edges(psim, 1);
+  sim::ParallelTransport transport(psim);
+  psim.start();
+  for (int i = 0; i < 6; ++i) transport.start_flow(hosts[i], hosts[7 - i], 50'000, 0.0);
+  psim.run_until(0.2);
+  ASSERT_EQ(transport.completed_flows().size(), 6u) << plane;
+
+  obs::Telemetry merged;
+  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
+    merged.metrics().merge_from(psim.shard_sim(s).telemetry().metrics());
+  }
+  DataStats sum;
+  for (const DataStats* st : stats) {
+    sum.data_forwarded += st->data_forwarded;
+    sum.data_dropped_no_route += st->data_dropped_no_route;
+    sum.data_dropped_ttl += st->data_dropped_ttl;
+  }
+  const obs::CoreMetrics& core = merged.core();
+  EXPECT_GT(sum.data_forwarded, 0u) << plane;
+  EXPECT_EQ(merged.metrics().value(core.data_forwarded), sum.data_forwarded) << plane;
+  EXPECT_EQ(merged.metrics().value(core.data_dropped_no_route), sum.data_dropped_no_route)
+      << plane;
+  EXPECT_EQ(merged.metrics().value(core.data_dropped_ttl), sum.data_dropped_ttl) << plane;
+}
+
+TEST(Baselines, ForwardingCountsInMetricsRegistry) {
+  expect_registry_matches_switch_stats(
+      "ecmp", [](sim::Simulator& sim) { return install_ecmp_network(sim); });
+  expect_registry_matches_switch_stats(
+      "sp", [](sim::Simulator& sim) { return install_shortest_path_network(sim); });
+  expect_registry_matches_switch_stats(
+      "spain", [](sim::Simulator& sim) { return install_spain_network(sim); });
 }
 
 }  // namespace

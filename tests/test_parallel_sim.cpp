@@ -19,7 +19,10 @@
 
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
+#include "dataplane/ecmp_switch.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "sim/churn_engine.h"
 #include "sim/event_queue.h"
 #include "sim/host.h"
 #include "sim/parallel_simulator.h"
@@ -295,26 +298,95 @@ TEST(ParallelEngine, ZeroDelayCutCollapsesToOneShard) {
 }
 
 TEST(ParallelEngine, FailureAppliesOnEveryShardReplica) {
+  // Every shard keeps a replica of every link, so each fault must change
+  // every replica yet be reported once: by the shard owning the link's
+  // sending side (the switch's shard for a restart, shard 0 for a wave
+  // marker). The faults target links and a switch owned off shard 0, so the
+  // owner rule — not "shard 0 reports" — is what keeps each count at one.
   const topology::Topology topo = topology::fat_tree(4, topology::LinkParams{10e9, 1e-6});
   SimConfig config;
   config.shards = 4;
+  obs::MemoryTraceSink trace;  // outlives psim
   ParallelSimulator psim(topo, config);
-  const topology::LinkId l = 0;
-  psim.fail_cable(l);
-  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
-    EXPECT_TRUE(psim.shard_sim(s).link(l).down()) << "shard " << s;
-    EXPECT_TRUE(psim.shard_sim(s).link(topo.link(l).reverse).down()) << "shard " << s;
-  }
-  psim.restore_cable(l);
-  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
-    EXPECT_FALSE(psim.shard_sim(s).link(l).down()) << "shard " << s;
-  }
+  ASSERT_EQ(psim.num_shards(), 4u);
+  psim.for_each_shard([](Simulator& sim) { dataplane::install_ecmp_network(sim); });
+  psim.set_trace_sink(&trace);
+  psim.start();
 
-  psim.schedule_cable_event(5e-6, l, true);
-  psim.run_until(10e-6);
-  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
-    EXPECT_TRUE(psim.shard_sim(s).link(l).down()) << "shard " << s;
+  std::vector<topology::LinkId> cables;
+  for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
+    if (l < topo.link(l).reverse && psim.shard_of_node(topo.link(l).from) != 0) {
+      cables.push_back(l);
+    }
   }
+  ASSERT_GE(cables.size(), 4u);
+  topology::NodeId restarted = topology::kInvalidNode;
+  for (topology::NodeId n = 0; n < topo.num_nodes() && restarted == topology::kInvalidNode; ++n) {
+    if (psim.shard_of_node(n) != 0) restarted = n;
+  }
+  ASSERT_NE(restarted, topology::kInvalidNode);
+
+  const auto expect_replicas = [&](topology::LinkId l, bool down, bool gray, const char* when) {
+    for (uint32_t s = 0; s < psim.num_shards(); ++s) {
+      const Simulator& sim = psim.shard_sim(s);
+      EXPECT_EQ(sim.link(l).down(), down) << when << ", shard " << s;
+      EXPECT_EQ(sim.link(topo.link(l).reverse).down(), down) << when << ", shard " << s;
+      EXPECT_EQ(sim.link(l).gray(), gray) << when << ", shard " << s;
+      EXPECT_EQ(sim.link(topo.link(l).reverse).gray(), gray) << when << ", shard " << s;
+    }
+  };
+
+  psim.fail_cable(cables[0]);
+  expect_replicas(cables[0], true, false, "after fail_cable");
+  psim.restore_cable(cables[0]);
+  expect_replicas(cables[0], false, false, "after restore_cable");
+
+  psim.schedule_cable_event(5e-6, cables[1], /*down=*/true);
+  psim.schedule_cable_event(15e-6, cables[1], /*down=*/false);
+
+  // Three churn waves: a flap (down at 10 us, up at 20 us), a gray episode
+  // (set at 20 us, cleared at 40 us) and a control-plane restart at 30 us.
+  ChurnEngine churn(topo);
+  churn.flap(cables[2], 10e-6, 10e-6, 1);
+  GrayParams gray;
+  gray.loss_prob = 0.1;
+  gray.extra_delay_s = 1e-6;
+  gray.capacity_factor = 0.5;
+  churn.gray(cables[3], 20e-6, 40e-6, gray);
+  churn.restart(restarted, 30e-6);
+  churn.arm(psim);
+
+  psim.run_until(7e-6);
+  expect_replicas(cables[1], true, false, "scheduled fail");
+  psim.run_until(12e-6);
+  expect_replicas(cables[2], true, false, "flap down");
+  psim.run_until(25e-6);
+  expect_replicas(cables[1], false, false, "scheduled restore");
+  expect_replicas(cables[2], false, false, "flap up");
+  expect_replicas(cables[3], false, true, "gray set");
+  psim.run_until(50e-6);
+  expect_replicas(cables[3], false, false, "gray cleared");
+  psim.flush_trace();
+
+  obs::Telemetry merged;
+  for (uint32_t s = 0; s < psim.num_shards(); ++s) {
+    merged.metrics().merge_from(psim.shard_sim(s).telemetry().metrics());
+  }
+  const obs::CoreMetrics& core = merged.core();
+  EXPECT_EQ(merged.metrics().value(core.link_down_events), 3u);
+  EXPECT_EQ(merged.metrics().value(core.link_up_events), 3u);
+  EXPECT_EQ(merged.metrics().value(core.switch_restarts), 1u);
+  EXPECT_EQ(merged.metrics().value(core.churn_waves), 3u);
+
+  const auto records = [&](obs::Ev ev) {
+    return std::count_if(trace.records().begin(), trace.records().end(),
+                         [ev](const obs::TraceRecord& r) { return r.ev == ev; });
+  };
+  EXPECT_EQ(records(obs::Ev::kLinkDown), 3);
+  EXPECT_EQ(records(obs::Ev::kLinkUp), 3);
+  EXPECT_EQ(records(obs::Ev::kGrayDegrade), 2);
+  EXPECT_EQ(records(obs::Ev::kSwitchRestart), 1);
+  EXPECT_EQ(records(obs::Ev::kChurnWave), 3);
 }
 
 // ---- golden scenario harness ----------------------------------------------

@@ -496,7 +496,7 @@ int run(const tools::Args& args, const topology::Topology& topo, const char* arg
       sampler->timeline = timeline.get();
       sampler->interval_s = tel.link_sample_s;
       for (topology::LinkId l = 0; l < topo.num_links(); ++l) {
-        if (psim.shard_of_node(topo.link(l).from) == s) sampler->links.push_back(l);
+        if (sampler->sim->owns_link(l)) sampler->links.push_back(l);
       }
       if (!sampler->links.empty()) sampler->arm();
       shard_timelines.push_back(std::move(timeline));
