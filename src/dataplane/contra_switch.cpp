@@ -884,15 +884,11 @@ void ContraSwitch::forward_data(Simulator& sim, Packet&& packet, LinkId in_link)
   } else {
     // Exact transit loop accounting (simulator-side ground truth): the same
     // packet id crossing this switch twice within the window is a loop.
-    if (now - recent_packets_reset_ > 0.01 || recent_packets_.size() >= kRecentPacketsCap) {
+    if (now - recent_packets_reset_ > 0.01 || recent_packets_.full()) {
       recent_packets_.clear();
       recent_packets_reset_ = now;
     }
-    auto [it, inserted] = recent_packets_.try_emplace(packet.id, uint8_t{0});
-    if (!inserted && it->second == 0) {
-      ++stats_.looped_packets_seen;
-      it->second = 1;
-    }
+    if (recent_packets_.note_revisit(packet.id)) ++stats_.looped_packets_seen;
   }
 
   if (packet.dst_switch == self_) {

@@ -27,6 +27,7 @@
 #include "compiler/compiler.h"
 #include "dataplane/flowlet_table.h"
 #include "dataplane/loop_detector.h"
+#include "dataplane/packet_id_window.h"
 #include "dataplane/plane.h"
 #include "dataplane/probe_engine.h"
 #include "pg/policy_eval.h"
@@ -465,14 +466,9 @@ class ContraSwitch : public sim::Device {
   ProbeClock probe_clock_;
   FailureDetector failure_detector_;
 
-  /// Exact loop accounting (simulator-side truth, not a switch table): packet
-  /// ids seen recently at this switch; a revisit is a looped packet. Packet
-  /// ids are near-sequential (and shard-namespaced under the parallel
-  /// engine), so they go through a full 64-bit mix before bucketing.
-  struct PacketIdHash {
-    size_t operator()(uint64_t id) const { return static_cast<size_t>(util::mix64(id)); }
-  };
-  std::unordered_map<uint64_t, uint8_t, PacketIdHash> recent_packets_;
+  /// Exact loop accounting: packet ids seen recently at this switch; a
+  /// revisit is a looped packet.
+  PacketIdWindow recent_packets_{kRecentPacketsCap};
   sim::Time recent_packets_reset_ = 0.0;
 
   ContraSwitchStats stats_;

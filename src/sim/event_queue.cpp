@@ -6,8 +6,17 @@
 
 namespace contra::sim {
 
+void EventQueue::reserve_events(size_t n) {
+  slots_.reserve(n);
+  free_slots_.reserve(n);
+  heap_.reserve(n);
+  buckets_.reserve(n);
+  free_buckets_.reserve(n);
+}
+
 uint32_t EventQueue::acquire_slot() {
   if (free_slots_.empty()) {
+    if (slots_.size() == slots_.capacity()) reserve_events(std::max<size_t>(64, 2 * slots_.size()));
     slots_.emplace_back();
     return static_cast<uint32_t>(slots_.size() - 1);
   }
@@ -16,8 +25,31 @@ uint32_t EventQueue::acquire_slot() {
   return slot;
 }
 
+uint32_t EventQueue::acquire_bucket() {
+  if (free_buckets_.empty()) {
+    buckets_.emplace_back();
+    return static_cast<uint32_t>(buckets_.size() - 1);
+  }
+  const uint32_t bucket = free_buckets_.back();
+  free_buckets_.pop_back();
+  return bucket;
+}
+
 void EventQueue::push(Time time, uint32_t slot) {
-  heap_.push_back(HeapEntry{clamp(time), next_seq_++, slot});
+  time = clamp(time);
+  slots_[slot].next = kNone;
+  ++pending_;
+  CacheLine& line = cache_[cache_line(time)];
+  if (line.bucket != kNone && line.time == time) {
+    Bucket& b = buckets_[line.bucket];
+    slots_[b.tail].next = slot;
+    b.tail = slot;
+    return;
+  }
+  const uint32_t bucket = acquire_bucket();
+  buckets_[bucket] = Bucket{slot, slot};
+  line = CacheLine{time, bucket};
+  heap_.push_back(HeapEntry{time, next_bucket_seq_++, bucket});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -40,6 +72,10 @@ void EventQueue::schedule_link_tx(Time time, Link* link) {
 void EventQueue::schedule_deliver(Time time, Link* link, Packet&& packet) {
   Packet* parked = pool_.acquire();
   *parked = std::move(packet);
+  schedule_deliver_parked(time, link, parked);
+}
+
+void EventQueue::schedule_deliver_parked(Time time, Link* link, Packet* parked) {
   const uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.kind = Kind::kDeliver;
@@ -50,32 +86,44 @@ void EventQueue::schedule_deliver(Time time, Link* link, Packet&& packet) {
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const HeapEntry entry = heap_.back();
-  heap_.pop_back();
-  now_ = entry.time;
+  const HeapEntry& front = heap_.front();
+  now_ = front.time;
+  Bucket& bucket = buckets_[front.bucket];
+  const uint32_t index = bucket.head;
+  bucket.head = slots_[index].next;
+  if (bucket.head == kNone) {
+    // The bucket is spent: retire it before dispatch, so an event the
+    // handler schedules at now() opens a newer bucket instead of joining a
+    // recycled one.
+    CacheLine& line = cache_[cache_line(front.time)];
+    if (line.bucket == front.bucket) line.bucket = kNone;
+    free_buckets_.push_back(front.bucket);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+  --pending_;
   ++processed_;
   // Take what the dispatch needs out of the slot and recycle it before
   // invoking: the handler may schedule (growing slots_ would invalidate a
   // held reference) and may legitimately reuse this very slot.
-  Slot& slot = slots_[entry.slot];
+  Slot& slot = slots_[index];
   switch (slot.kind) {
     case Kind::kClosure: {
       Handler handler = std::move(slot.handler);
-      free_slots_.push_back(entry.slot);
+      free_slots_.push_back(index);
       handler();
       break;
     }
     case Kind::kLinkTx: {
       Link* link = slot.link;
-      free_slots_.push_back(entry.slot);
+      free_slots_.push_back(index);
       link->on_transmit_done();
       break;
     }
     case Kind::kDeliver: {
       Link* link = slot.link;
       Packet* packet = slot.packet;
-      free_slots_.push_back(entry.slot);
+      free_slots_.push_back(index);
       link->complete_delivery(packet);
       break;
     }

@@ -1,7 +1,9 @@
 // Discrete-event core: a time-ordered queue of handlers.
 //
 // Ties break by insertion order, which (with seeded RNGs everywhere) makes
-// every simulation bit-reproducible.
+// every simulation bit-reproducible. Events at one time share a FIFO bucket,
+// and the heap orders buckets, not events (see DESIGN.md §6): the periodic
+// probe flood pops ~94% of its events at the same time as the previous pop.
 //
 // Performance contract (see DESIGN.md, "Simulator performance architecture"):
 // the steady-state per-packet-hop path allocates nothing. Two mechanisms
@@ -12,10 +14,12 @@
 //     but fall back to the heap.
 //   * typed events — the two per-hop events (transmit-done, propagation
 //     delivery) bypass closures entirely: the event stores a Link* (and for
-//     deliveries a Packet* parked in the queue's freelist pool), so the hot
-//     loop in Link never materializes a callable at all.
+//     deliveries a Packet* parked in the queue's freelist pool, where the
+//     link parked it at enqueue), so the hot loop in Link never materializes
+//     a callable or moves a packet between hops.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -161,13 +165,18 @@ class EventQueue {
   /// At `time`, run the link's transmit-done step.
   void schedule_link_tx(Time time, Link* link);
   /// At `time`, deliver `packet` out of `link` (propagation completes).
+  /// Parks the packet in the pool; the cross-shard mailbox drain uses this.
   void schedule_deliver(Time time, Link* link, Packet&& packet);
+  /// Same, for a packet already parked in packet_pool(): the delivery takes
+  /// over the slot (a link hands on the slot its queue held).
+  void schedule_deliver_parked(Time time, Link* link, Packet* parked);
 
-  /// Freelist for packets parked in deliver events; shared with tests.
+  /// Freelist for packets parked in link queues and deliver events; shared
+  /// with tests.
   PacketPool& packet_pool() { return pool_; }
 
   bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
+  size_t pending() const { return pending_; }
 
   /// Time of the earliest pending event, +infinity when empty. The parallel
   /// engine's epoch scheduler reads this at barriers to compute per-shard
@@ -177,13 +186,10 @@ class EventQueue {
     return heap_.empty() ? std::numeric_limits<Time>::infinity() : heap_.front().time;
   }
 
-  /// Pre-grows heap and slot storage for `n` more events — the batched
-  /// mailbox drain reserves once per batch so the per-hop push never
-  /// reallocates mid-drain.
-  void reserve_extra(size_t n) {
-    heap_.reserve(heap_.size() + n);
-    slots_.reserve(slots_.size() + n);
-  }
+  /// Pre-grows event storage for `n` more events — the batched mailbox
+  /// drain reserves once per batch so the per-hop push never reallocates
+  /// mid-drain.
+  void reserve_extra(size_t n) { reserve_events(pending_ + n); }
 
   /// Runs one event; returns false when the queue is empty.
   bool step();
@@ -204,16 +210,20 @@ class EventQueue {
 
  private:
   enum class Kind : uint8_t { kClosure, kLinkTx, kDeliver };
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  // The heap holds only the ordering key plus a slot index; the bulky
-  // payload (a 72-byte handler, or the typed Link*/Packet* pair) lives in a
-  // recycled side table. Heap sifts move ~2·log2(n) elements per pop, so
-  // keeping the sifted element a 24-byte POD — instead of the full event —
-  // is worth ~40% of event throughput.
+  // Same-time buckets. Every pending event sits in a FIFO bucket of events
+  // at one time; the heap orders buckets by (time, bucket creation seq).
+  // Order stays exactly (time, insertion): an event only ever joins the
+  // newest bucket for its time (or opens a newer one), so every event of an
+  // older bucket was inserted before every event of a newer one. The heap
+  // holds only the 24-byte POD key plus a bucket index — sifts move
+  // ~2·log2(n) elements, so the sifted element must stay small — and it is
+  // touched only when a bucket opens or empties, not per event.
   struct HeapEntry {
     Time time;
-    uint64_t seq;
-    uint32_t slot;
+    uint64_t seq;     ///< bucket creation order
+    uint32_t bucket;
   };
   static_assert(sizeof(HeapEntry) == 24);
   struct Later {
@@ -223,8 +233,33 @@ class EventQueue {
     }
   };
 
+  struct Bucket {
+    uint32_t head = kNone;  ///< slot popped next
+    uint32_t tail = kNone;  ///< slot the next same-time event links after
+  };
+
+  // Direct-mapped cache from a time to its newest bucket. A miss (never
+  // seen, evicted by a colliding time, or cleared when the bucket emptied)
+  // just opens a new bucket, which is always correct; the cache only saves
+  // heap pushes. Lines are keyed by the time's bits, and an entry's line is
+  // the only one that can name its bucket.
+  static constexpr size_t kCacheLines = 64;
+  struct CacheLine {
+    Time time = 0.0;
+    uint32_t bucket = kNone;
+  };
+  static size_t cache_line(Time time) {
+    // +0.0 folds -0.0 into +0.0 so both zeros (equal as times) share a line.
+    return static_cast<size_t>((std::bit_cast<uint64_t>(time + 0.0) * 0x9e3779b97f4a7c15ull) >>
+                               58);
+  }
+  static_assert(kCacheLines == 64, "cache_line() takes the top 6 hash bits");
+
+  // The bulky payload (a 72-byte handler, or the typed Link*/Packet* pair)
+  // lives in a recycled side table; `next` links the slots of one bucket.
   struct Slot {
     Kind kind = Kind::kClosure;
+    uint32_t next = kNone;    ///< next slot in the same bucket
     Link* link = nullptr;     ///< kLinkTx / kDeliver
     Packet* packet = nullptr; ///< kDeliver: storage owned by pool_
     Handler handler;          ///< kClosure
@@ -237,15 +272,26 @@ class EventQueue {
     }
     return time;
   }
+  /// Sizes every per-event table for `n` pending events. Buckets never
+  /// outnumber pending events, so bucket storage grows only with the slot
+  /// table: a run whose event count has peaked allocates nothing, however
+  /// its events spread over distinct times.
+  void reserve_events(size_t n);
   uint32_t acquire_slot();
+  uint32_t acquire_bucket();
+  /// Appends `slot` (payload filled in) to the newest bucket for `time`.
   void push(Time time, uint32_t slot);
 
-  std::vector<HeapEntry> heap_;  ///< binary heap via std::push_heap/pop_heap
+  std::vector<HeapEntry> heap_;  ///< binary heap of buckets via std::push_heap/pop_heap
+  std::vector<Bucket> buckets_;
+  std::vector<uint32_t> free_buckets_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  CacheLine cache_[kCacheLines];
   PacketPool pool_;
   Time now_ = 0.0;
-  uint64_t next_seq_ = 0;
+  uint64_t next_bucket_seq_ = 0;
+  size_t pending_ = 0;
   uint64_t processed_ = 0;
   uint64_t clamped_ = 0;
 };

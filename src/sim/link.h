@@ -130,8 +130,8 @@ class Link {
 
   void maybe_start_transmit();
   void on_transmit_done();
-  /// Propagation finished: hand the pooled packet to deliver_ and return the
-  /// slot to the event queue's freelist.
+  /// Propagation finished: return the pooled slot to the event queue's
+  /// freelist and hand its packet to deliver_.
   void complete_delivery(Packet* packet);
   void note_tx(const Packet& packet);
 
@@ -141,7 +141,9 @@ class Link {
   uint64_t queue_capacity_bytes_;
   double util_tau_s_;
 
-  util::RingQueue<Packet> queue_;
+  /// FIFO of packets parked in events_.packet_pool(); the link owns each
+  /// slot until the packet is dropped, forwarded remotely or delivered.
+  util::RingQueue<Packet*> queue_;
   uint64_t queue_bytes_ = 0;
   uint64_t ecn_threshold_bytes_ = 0;
   bool busy_ = false;

@@ -127,10 +127,11 @@ struct Packet {
   }
 };
 
-/// Freelist recycler for in-flight packet storage. The event core parks a
-/// packet here for the propagation leg of every hop (see
-/// EventQueue::schedule_deliver); recycling the slots keeps the steady-state
-/// hop path allocation-free. Slots are poisoned while free in debug builds
+/// Freelist recycler for in-flight packet storage. A link parks each packet
+/// here once, at enqueue; the slot then rides the link queue, the
+/// transmit-done and the delivery event (see EventQueue::
+/// schedule_deliver_parked) and is released when the packet leaves the link.
+/// Recycling the slots keeps the steady-state hop path allocation-free. Slots are poisoned while free in debug builds
 /// so reuse-after-release is caught instead of silently corrupting a
 /// simulation.
 class PacketPool {

@@ -1,10 +1,9 @@
 // A growable circular FIFO of movable values.
 //
-// Replaces std::deque on the simulator hot path: with elements the size of a
-// Packet, libstdc++'s deque fits only a couple per chunk, so a steady stream
-// through the queue allocates and frees a chunk every few pushes. The ring
-// reuses one flat buffer forever once grown, which the zero-allocation
-// contract of the event core depends on.
+// Replaces std::deque on the simulator hot path (the per-link packet FIFO):
+// libstdc++'s deque allocates and frees a chunk every time a steady stream
+// crosses a chunk boundary. The ring reuses one flat buffer forever once
+// grown, which the zero-allocation contract of the event core depends on.
 #pragma once
 
 #include <cstddef>

@@ -12,6 +12,7 @@
 #include "sim/simulator.h"
 #include "topology/generators.h"
 #include "topology/zoo.h"
+#include "util/small_vector.h"
 
 namespace contra {
 namespace {
@@ -55,6 +56,19 @@ TEST(EdgeCases, RankSelfComparisonAndNegatives) {
   EXPECT_LT(negative, lang::Rank::scalar(0.0));
   const lang::Rank empty = lang::Rank::vector({});
   EXPECT_EQ(empty, lang::Rank::scalar(0.0));  // zero-padded comparison
+}
+
+TEST(EdgeCases, SmallVectorAppendsEmptyNullRange) {
+  // Rank::vector({}) appends the empty range of an empty initializer list,
+  // which may be (nullptr, nullptr); memcpy must not see a null source.
+  util::SmallVector<double, 4> v;
+  v.append(nullptr, nullptr);
+  EXPECT_TRUE(v.empty());
+  EXPECT_TRUE(v.is_inline());
+  v.push_back(2.5);
+  v.append(nullptr, nullptr);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], 2.5);
 }
 
 TEST(EdgeCases, MaxRttOnSingleNode) {

@@ -8,7 +8,8 @@
 //   * after traffic warm-up (live pins, expired pins, pins over a failed
 //     cable), the query at every switch of a flow's path names the link the
 //     flow's next packet actually leaves on, for contra, hula and ecmp;
-//   * ECMP forwarding allocates nothing per packet.
+//   * ECMP forwarding, and contra forwarding at a transit switch, allocate
+//     nothing per packet.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -330,6 +331,65 @@ TEST(NextHopDecision, EcmpForwardingAllocatesNothing) {
     w.sim.run_until(w.sim.now() + 100e-6);
   }
   EXPECT_EQ(w.ecmp_src->stats().data_forwarded - forwarded_before, 16u * flows.size());
+  EXPECT_EQ(allocs, 0u);
+}
+
+// ---- Contra transit forwarding does not allocate --------------------------------
+
+// Stamped data packets enter a transit switch, where exact loop accounting
+// records every new packet id. After a warm-up longer than the 10 ms loop
+// accounting window (so the window has restarted and its table has reached
+// its working size), forwarding a fresh packet allocates nothing.
+TEST(NextHopDecision, ContraTransitForwardingAllocatesNothing) {
+  World w(Plane::kContra);
+  w.sim.start();
+  w.sim.run_until(3e-3);  // control plane converges
+  struct Transit {
+    Flow flow;
+    sim::RoutingState header;  ///< as e0_0 stamps it
+    LinkId in_link = topology::kInvalidLink;
+  };
+  std::vector<Transit> transits;
+  for (uint64_t i = 0; i < 8; ++i) {
+    Transit t;
+    t.flow = w.flow(i, w.hosts[0], w.hosts[1 + i % (w.hosts.size() - 1)]);
+    t.in_link = w.contra_src->fluid_next_hop(w.sim, t.flow.dst_sw, t.flow.tuple, t.header);
+    ASSERT_NE(t.in_link, topology::kInvalidLink);
+    --t.header.ttl;
+    transits.push_back(t);
+  }
+  auto packet = [&](const Transit& t, uint64_t seq) {
+    sim::Packet p = w.packet(t.flow, seq);
+    p.routing = t.header;
+    return p;
+  };
+  // Warm-up: flowlets pinned, link rings, event storage and the packet
+  // pool at working size, and one loop-accounting window restart.
+  uint64_t seq = 0;
+  while (w.sim.now() < 15e-3) {
+    for (const Transit& t : transits) {
+      w.sim.device_at(w.topo.link(t.in_link).to).handle_packet(w.sim, packet(t, seq), t.in_link);
+    }
+    ++seq;
+    w.sim.run_until(w.sim.now() + 100e-6);
+  }
+  uint64_t forwarded = 0;
+  uint64_t allocs = 0;
+  for (int round = 0; round < 16; ++round, ++seq) {
+    for (const Transit& t : transits) {
+      sim::Device& transit = w.sim.device_at(w.topo.link(t.in_link).to);
+      const auto* contra = dynamic_cast<const ContraSwitch*>(&transit);
+      ASSERT_NE(contra, nullptr);
+      const uint64_t forwarded_before = contra->stats().data_forwarded;
+      sim::Packet p = packet(t, seq);
+      const uint64_t before = util::alloc_count();
+      transit.handle_packet(w.sim, std::move(p), t.in_link);
+      allocs += util::alloc_count() - before;
+      forwarded += contra->stats().data_forwarded - forwarded_before;
+    }
+    w.sim.run_until(w.sim.now() + 100e-6);
+  }
+  EXPECT_EQ(forwarded, 16u * transits.size());
   EXPECT_EQ(allocs, 0u);
 }
 

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <random>
+#include <set>
+#include <tuple>
 
 #include "compiler/compiler.h"
 #include "dataplane/contra_switch.h"
@@ -87,6 +90,168 @@ TEST(EventQueue, ClampedEventsAreCounted) {
   EXPECT_EQ(q.events_clamped(), 1u);
   q.run_until(3.0);
   EXPECT_EQ(q.events_clamped(), 1u);
+}
+
+// ---- event order against a reference model --------------------------------
+
+// Drives an EventQueue with a seeded random mix of closures, typed deliveries
+// and typed transmit-done events, and checks every pop against a reference
+// model: an ordered set keyed by (clamped time, insertion seq). A
+// transmit-done on an idle link fires silently, so silent events are checked
+// through events_processed(), which must count exactly the model events up
+// to each observed pop. The mix keeps well over 64 distinct times pending
+// (more than the queue caches, so one time can span several buckets),
+// schedules at now() while that time drains, schedules into the past, and
+// stops run_before at a boundary that holds events.
+class OrderModel {
+ public:
+  enum class Kind { kClosure, kDeliver, kLinkTx };
+
+  explicit OrderModel(uint64_t seed) : rng_(seed) {
+    link_.set_deliver([this](Packet&& p) { fire(static_cast<int64_t>(p.id)); });
+  }
+
+  void run(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      // A batch from outside the queue: after run_before, now() is a
+      // boundary whose events are still pending.
+      for (int i = 0; i < 40; ++i) schedule(pick_time(), pick_kind());
+      budget_ += 400;
+      max_distinct_times_ = std::max(max_distinct_times_, distinct_pending_times());
+      const Time boundary = std::get<0>(*std::next(model_.begin(), model_.size() / 3));
+      if (round % 2 == 0) {
+        q_.run_before(boundary);
+        expect_ran_through(boundary, /*inclusive=*/false);
+      } else {
+        q_.run_until(boundary);
+        expect_ran_through(boundary, /*inclusive=*/true);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    budget_ = 0;
+    q_.run_until(1e12);
+    expect_ran_through(1e12, /*inclusive=*/true);
+    EXPECT_TRUE(model_.empty());
+    EXPECT_TRUE(q_.empty());
+    EXPECT_EQ(q_.pending(), 0u);
+  }
+
+  uint64_t fired() const { return fired_; }
+  size_t max_distinct_times() const { return max_distinct_times_; }
+  uint64_t clamped() const { return q_.events_clamped(); }
+
+ private:
+  using Entry = std::tuple<Time, uint64_t, int64_t>;  // (time, seq, id); id -1 = silent
+  static constexpr int64_t kSilent = -1;
+
+  void schedule(Time t, Kind kind) {
+    const int64_t id = kind == Kind::kLinkTx ? kSilent : next_id_++;
+    model_.emplace(std::max(t, q_.now()), seq_++, id);  // past times clamp to now()
+    switch (kind) {
+      case Kind::kClosure:
+        q_.schedule_at(t, [this, id] { fire(id); });
+        break;
+      case Kind::kDeliver: {
+        Packet p;
+        p.id = static_cast<uint64_t>(id);
+        q_.schedule_deliver(t, &link_, std::move(p));
+        break;
+      }
+      case Kind::kLinkTx:
+        q_.schedule_link_tx(t, &link_);  // idle link: a no-op transmit-done
+        break;
+    }
+  }
+
+  void pop_silent_front() {
+    while (!model_.empty() && std::get<2>(*model_.begin()) == kSilent) {
+      model_.erase(model_.begin());
+      ++popped_;
+    }
+  }
+
+  void fire(int64_t id) {
+    if (::testing::Test::HasFailure()) return;
+    pop_silent_front();
+    ASSERT_FALSE(model_.empty());
+    const auto [time, seq, expected] = *model_.begin();
+    EXPECT_EQ(id, expected) << "seq " << seq;
+    EXPECT_EQ(q_.now(), time) << "seq " << seq;
+    model_.erase(model_.begin());
+    ++popped_;
+    EXPECT_EQ(q_.events_processed(), popped_) << "seq " << seq;
+    ++fired_;
+    const int children = std::uniform_int_distribution<int>(0, 2)(rng_);
+    for (int i = 0; i < children && budget_ > 0; ++i, --budget_) {
+      schedule(pick_time(), pick_kind());
+    }
+  }
+
+  void expect_ran_through(Time end, bool inclusive) {
+    while (!model_.empty()) {
+      const auto& [time, seq, id] = *model_.begin();
+      if (id != kSilent || (inclusive ? time > end : time >= end)) break;
+      model_.erase(model_.begin());
+      ++popped_;
+    }
+    if (!model_.empty()) {
+      const Time next = std::get<0>(*model_.begin());
+      EXPECT_TRUE(inclusive ? next > end : next >= end) << "event at " << next << " missed";
+      EXPECT_EQ(q_.next_time(), next);
+    }
+    EXPECT_EQ(q_.events_processed(), popped_);
+    EXPECT_EQ(q_.pending(), model_.size());
+    EXPECT_EQ(q_.now(), end);
+  }
+
+  // Times are multiples of 1/4, exact in binary, so equal times tie exactly.
+  Time pick_time() {
+    const int roll = std::uniform_int_distribution<int>(0, 9)(rng_);
+    if (roll < 3) return q_.now();                                       // joins the draining time
+    if (roll < 4) return q_.now() - 0.25 * (1 + roll_int(8));            // past: clamped
+    return q_.now() + 0.25 * (1 + roll_int(150));                        // 150 future times
+  }
+
+  Kind pick_kind() {
+    const int roll = roll_int(20);
+    if (roll < 12) return Kind::kClosure;
+    if (roll < 17) return Kind::kDeliver;
+    return Kind::kLinkTx;
+  }
+
+  int roll_int(int n) { return std::uniform_int_distribution<int>(0, n - 1)(rng_); }
+
+  size_t distinct_pending_times() const {
+    size_t n = 0;
+    Time last = -1.0;
+    for (const Entry& e : model_) {
+      if (std::get<0>(e) != last) ++n;
+      last = std::get<0>(e);
+    }
+    return n;
+  }
+
+  EventQueue q_;
+  Link link_{q_, 1e9, 0.0, 1 << 20, 1e-3};
+  std::set<Entry> model_;
+  std::mt19937_64 rng_;
+  uint64_t seq_ = 0;
+  int64_t next_id_ = 0;
+  uint64_t popped_ = 0;
+  uint64_t fired_ = 0;
+  uint64_t budget_ = 0;
+  size_t max_distinct_times_ = 0;
+};
+
+TEST(EventQueue, RandomizedOrderMatchesTimeThenInsertion) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    OrderModel model(seed);
+    model.run(60);
+    EXPECT_GT(model.fired(), 5000u);
+    EXPECT_GT(model.max_distinct_times(), 64u);
+    EXPECT_GT(model.clamped(), 0u);
+  }
 }
 
 TEST(EventHandler, SmallCapturesStayInline) {
@@ -275,6 +440,52 @@ TEST(Link, SteadyStateHopAllocatesNothing) {
   EXPECT_GT(hops, hops_before + 100);
   EXPECT_EQ(util::alloc_count() - allocs_before, 0u);
   EXPECT_EQ(q.packet_pool().allocated(), 1u);  // one slot, recycled forever
+}
+
+TEST(Link, SetDownReleasesParkedPackets) {
+  // A link parks every queued packet in the event queue's pool. Going down
+  // with kQueued packets queued drops the waiting ones and releases their
+  // slots, while the head already on the wire keeps its slot until its
+  // delivery. Packets enqueued after the restore reuse the released slots,
+  // never the in-flight one: every delivery arrives intact.
+  EventQueue q;
+  Link link(q, 1e9, 5e-6, 1 << 20, 1e-3);  // 1000B: 8us on the wire, then 5us
+  std::vector<std::pair<uint64_t, uint32_t>> delivered;
+  link.set_deliver([&](Packet&& p) { delivered.emplace_back(p.id, p.size_bytes); });
+  constexpr uint64_t kQueued = 8;
+  uint64_t dropped_bytes = 0;
+  for (uint64_t i = 0; i < kQueued; ++i) {
+    Packet p = make_packet(1000 + static_cast<uint32_t>(i));
+    p.id = 100 + i;
+    if (i > 0) dropped_bytes += p.size_bytes;
+    ASSERT_TRUE(link.enqueue(std::move(p)));
+  }
+  EXPECT_EQ(q.packet_pool().allocated(), kQueued);
+  EXPECT_EQ(q.packet_pool().free_count(), 0u);
+
+  // At 10us packet 100 is propagating and 101 is being serialized.
+  q.schedule_at(10e-6, [&] { link.set_down(true); });
+  q.schedule_at(11e-6, [&] {
+    link.set_down(false);
+    for (uint64_t i = 0; i + 1 < kQueued; ++i) {
+      Packet p = make_packet(500);
+      p.id = 200 + i;
+      ASSERT_TRUE(link.enqueue(std::move(p)));
+    }
+  });
+  q.run_until(10.5e-6);
+  EXPECT_EQ(link.stats().drops, kQueued - 1);
+  EXPECT_EQ(link.stats().drop_bytes, dropped_bytes);
+  EXPECT_EQ(q.packet_pool().free_count(), kQueued - 1);  // only the in-flight head is parked
+  q.run_until(1.0);
+
+  std::vector<std::pair<uint64_t, uint32_t>> expected = {{100, 1000}};
+  for (uint64_t i = 0; i + 1 < kQueued; ++i) expected.emplace_back(200 + i, 500);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_EQ(link.stats().drops, kQueued - 1);
+  EXPECT_EQ(link.stats().drop_bytes, dropped_bytes);
+  EXPECT_EQ(q.packet_pool().allocated(), kQueued);  // the restore reused released slots
+  EXPECT_EQ(q.packet_pool().free_count(), q.packet_pool().allocated());
 }
 
 TEST(Link, PerKindByteCounters) {
