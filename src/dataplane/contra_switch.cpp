@@ -348,9 +348,7 @@ uint32_t ContraSwitch::send_row_advert(Simulator& sim, NodeId dst, uint32_t loca
     // noise).
     if (edge.link == entry.nhop && edge.to_tag == entry.ntag) continue;
     if (only_link != topology::kInvalidLink && edge.link != only_link) continue;
-    Packet copy = probe;
-    copy.id = sim.next_packet_id();
-    sim.send_on_link(edge.link, std::move(copy));
+    sim.send_copy_on_link(edge.link, probe, sim.next_packet_id());
     ++copies;
   }
   if (copies > 0 && telemetry_->tracing()) {
@@ -757,10 +755,8 @@ void ContraSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link
   probe.tag = local_tag;
   for (const pg::PgEdge& edge : compiled_->graph.out_edges(pg_node)) {
     if (edge.link == traffic_link && edge.to_tag == incoming_tag) continue;
-    Packet copy = packet;
-    copy.id = sim.next_packet_id();
     ++stats_.probes_propagated;
-    sim.send_on_link(edge.link, std::move(copy));
+    sim.send_copy_on_link(edge.link, packet, sim.next_packet_id());
   }
 }
 

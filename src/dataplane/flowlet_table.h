@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/telemetry.h"
 #include "sim/event_queue.h"
@@ -52,6 +53,91 @@ struct HopDecision {
   bool stale_pin = false;
 };
 
+/// Last next hop of recently removed flowlet keys — the window that tells a
+/// flowlet switch from a flowlet create. Open addressing with linear probing
+/// and backward-shift erase; clear() bumps a generation stamp instead of
+/// touching the slots. It grows by doubling to the window's working size and
+/// is then reused, so remembering, finding and erasing a key allocate
+/// nothing once warm.
+class PrevNhopWindow {
+ public:
+  size_t size() const { return size_; }
+
+  /// Forgets every key in O(1).
+  void clear() {
+    size_ = 0;
+    if (++generation_ == 0) {  // stamp wrapped: old stamps could read as live
+      for (Slot& s : slots_) s.generation = 0;
+      generation_ = 1;
+    }
+  }
+
+  /// The next hop remembered for `key`, or nullptr.
+  const topology::LinkId* find(const FlowletKey& key) const {
+    if (slots_.empty()) return nullptr;
+    const Slot& s = slots_[index_of(key)];
+    return live(s) ? &s.nhop : nullptr;
+  }
+
+  /// Remembers (or overwrites) `key`'s next hop.
+  void set(const FlowletKey& key, topology::LinkId nhop) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    Slot& s = slots_[index_of(key)];
+    if (!live(s)) ++size_;
+    s = Slot{key, nhop, generation_};
+  }
+
+  void erase(const FlowletKey& key) {
+    if (slots_.empty()) return;
+    const size_t mask = slots_.size() - 1;
+    size_t hole = index_of(key);
+    if (!live(slots_[hole])) return;
+    --size_;
+    // Backward shift: pull each later key of the probe run into the hole
+    // unless its home lies cyclically after the hole, so every key stays
+    // reachable from its home without tombstones.
+    for (size_t j = (hole + 1) & mask; live(slots_[j]); j = (j + 1) & mask) {
+      const size_t home = home_of(slots_[j].key);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole].generation = 0;
+  }
+
+ private:
+  struct Slot {
+    FlowletKey key;
+    topology::LinkId nhop = topology::kInvalidLink;
+    uint32_t generation = 0;  ///< live iff equal to the window's generation
+  };
+
+  bool live(const Slot& s) const { return s.generation == generation_; }
+  size_t home_of(const FlowletKey& key) const {
+    return util::mix64(FlowletKeyHash{}(key)) & (slots_.size() - 1);
+  }
+  /// The slot holding `key`, or the empty slot where it belongs.
+  size_t index_of(const FlowletKey& key) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = home_of(key);; i = (i + 1) & mask) {
+      if (!live(slots_[i]) || slots_[i].key == key) return i;
+    }
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (live(s)) slots_[index_of(s.key)] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;  ///< power-of-two size
+  size_t size_ = 0;
+  uint32_t generation_ = 1;
+};
+
 struct FlowletStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -85,17 +171,17 @@ class FlowletTable {
   /// side (tag, pid) pins follow the same rule.
   bool live(sim::Time last_seen, sim::Time now) const { return now - last_seen < timeout_s_; }
 
-  /// Live entry for this key, or nullptr (expired entries are erased and
+  /// Live entry for this key, or nullptr (expired entries are vacated and
   /// counted). Does NOT refresh the timestamp — call touch() after use.
   FlowletEntry* lookup(const FlowletKey& key, sim::Time now);
 
   /// Read-only view for route queries: the entry lookup() would return, or
   /// nullptr, with no side effect — an expired entry is left in place (the
-  /// next lookup() still meets, erases and counts it), and no hit/miss/expiry
+  /// next lookup() still meets, vacates and counts it), and no hit/miss/expiry
   /// is counted or traced.
   const FlowletEntry* peek(const FlowletKey& key, sim::Time now) const;
 
-  /// Pins (or re-pins) a decision.
+  /// Pins (or re-pins) a decision; `entry.nhop` must be a real link.
   void pin(const FlowletKey& key, const FlowletEntry& entry, sim::Time now = 0.0);
 
   /// Refreshes the inter-packet gap timer.
@@ -104,7 +190,8 @@ class FlowletTable {
   /// Removes a pinned decision (loop breaking, failure expiry).
   void flush(const FlowletKey& key, sim::Time now = 0.0);
 
-  size_t size() const { return table_.size(); }
+  /// Pinned keys (vacated entries excluded).
+  size_t size() const { return table_.size() - vacant_; }
   const FlowletStats& stats() const { return stats_; }
   double timeout_s() const { return timeout_s_; }
 
@@ -112,8 +199,17 @@ class FlowletTable {
   void emit(obs::Ev ev, const FlowletKey& key, topology::LinkId nhop, double t,
             double value = 0.0) const;
 
+  // Expiry and flush vacate an entry instead of erasing it, so a flow
+  // resuming after a pause re-pins into its old node: the table allocates
+  // only for a key it has never held. A vacated entry's next hop is
+  // kInvalidLink, which no pin carries (a flag would grow every node).
+  static bool vacant(const FlowletEntry& entry) { return entry.nhop == topology::kInvalidLink; }
+  /// Vacates a held entry: remembers its next hop, counts it in vacant_.
+  void vacate(const FlowletKey& key, FlowletEntry& entry);
+
   double timeout_s_;
   std::unordered_map<FlowletKey, FlowletEntry, FlowletKeyHash> table_;
+  size_t vacant_ = 0;
   FlowletStats stats_;
   void remember_prev_nhop(const FlowletKey& key, topology::LinkId nhop);
 
@@ -123,7 +219,7 @@ class FlowletTable {
   /// flowlet *switch* from a flowlet *create*. Maintained whenever entries
   /// are removed (metrics must count switches even without a trace sink) and
   /// bounded by kPrevNhopCap.
-  std::unordered_map<FlowletKey, topology::LinkId, FlowletKeyHash> prev_nhop_;
+  PrevNhopWindow prev_nhop_;
 };
 
 }  // namespace contra::dataplane

@@ -159,11 +159,9 @@ void HulaSwitch::process_probe(Simulator& sim, Packet&& packet, LinkId in_link) 
     const FatTreeLayer to_layer = topology::fat_tree_layer(sim.topo(), sim.topo().link(l).to);
     const bool going_up = layer_rank(to_layer) > layer_rank(layer_);
     if (going_up && !arrived_from_below) continue;  // down-phase stays down
-    Packet copy = packet;
-    copy.id = sim.next_packet_id();
-    copy.routing.hula_up = going_up;
+    packet.routing.hula_up = going_up;  // the copy's direction; packet is spent after
     ++stats_.probes_propagated;
-    sim.send_on_link(l, std::move(copy));
+    sim.send_copy_on_link(l, packet, sim.next_packet_id());
   }
 }
 

@@ -12,6 +12,8 @@ void EventQueue::reserve_events(size_t n) {
   heap_.reserve(n);
   buckets_.reserve(n);
   free_buckets_.reserve(n);
+  handlers_.reserve(n);
+  free_handlers_.reserve(n);
 }
 
 uint32_t EventQueue::acquire_slot() {
@@ -23,6 +25,16 @@ uint32_t EventQueue::acquire_slot() {
   const uint32_t slot = free_slots_.back();
   free_slots_.pop_back();
   return slot;
+}
+
+uint32_t EventQueue::acquire_handler() {
+  if (free_handlers_.empty()) {
+    handlers_.emplace_back();
+    return static_cast<uint32_t>(handlers_.size() - 1);
+  }
+  const uint32_t handler = free_handlers_.back();
+  free_handlers_.pop_back();
+  return handler;
 }
 
 uint32_t EventQueue::acquire_bucket() {
@@ -55,9 +67,11 @@ void EventQueue::push(Time time, uint32_t slot) {
 
 void EventQueue::schedule_at(Time time, Handler handler) {
   const uint32_t slot = acquire_slot();
+  const uint32_t index = acquire_handler();
+  handlers_[index] = std::move(handler);
   Slot& s = slots_[slot];
   s.kind = Kind::kClosure;
-  s.handler = std::move(handler);
+  s.handler = index;
   push(time, slot);
 }
 
@@ -91,7 +105,19 @@ bool EventQueue::step() {
   Bucket& bucket = buckets_[front.bucket];
   const uint32_t index = bucket.head;
   bucket.head = slots_[index].next;
-  if (bucket.head == kNone) {
+  if (bucket.head != kNone) {
+    // The next events of this time are known: start loading the packet the
+    // next one delivers, and the slot after it, while this one runs.
+    // In-flight packets far outnumber the cache, so the first touch of a
+    // delivered packet is otherwise a miss the dispatch waits on.
+    const Slot& next = slots_[bucket.head];
+    if (next.next != kNone) __builtin_prefetch(&slots_[next.next]);
+    if (next.kind == Kind::kDeliver) {
+      const char* p = reinterpret_cast<const char*>(next.packet);
+      for (size_t off = 0; off < sizeof(Packet); off += 64) __builtin_prefetch(p + off);
+      __builtin_prefetch(p + sizeof(Packet) - 1);
+    }
+  } else {
     // The bucket is spent: retire it before dispatch, so an event the
     // handler schedules at now() opens a newer bucket instead of joining a
     // recycled one.
@@ -109,7 +135,9 @@ bool EventQueue::step() {
   Slot& slot = slots_[index];
   switch (slot.kind) {
     case Kind::kClosure: {
-      Handler handler = std::move(slot.handler);
+      const uint32_t h = slot.handler;
+      Handler handler = std::move(handlers_[h]);
+      free_handlers_.push_back(h);
       free_slots_.push_back(index);
       handler();
       break;

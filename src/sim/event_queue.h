@@ -255,16 +255,26 @@ class EventQueue {
   }
   static_assert(kCacheLines == 64, "cache_line() takes the top 6 hash bits");
 
-  // The bulky payload (a 72-byte handler, or the typed Link*/Packet* pair)
-  // lives in a recycled side table; `next` links the slots of one bucket.
+  // Every event's payload lives in a recycled 24-byte slot; `next` links the
+  // slots of one bucket. The typed per-hop events (over 99% of a probe
+  // flood's) carry their Link*/Packet* inline. A closure's 80-byte handler
+  // sits in its own recycled table, so the slots the hop path streams
+  // through stay small.
   struct Slot {
     Kind kind = Kind::kClosure;
-    uint32_t next = kNone;    ///< next slot in the same bucket
-    Link* link = nullptr;     ///< kLinkTx / kDeliver
-    Packet* packet = nullptr; ///< kDeliver: storage owned by pool_
-    Handler handler;          ///< kClosure
+    uint32_t next = kNone;  ///< next slot in the same bucket
+    Link* link = nullptr;   ///< kLinkTx / kDeliver
+    union {
+      Packet* packet = nullptr;  ///< kDeliver: storage owned by pool_
+      uint32_t handler;          ///< kClosure: index into handlers_
+    };
   };
 
+ public:
+  /// Bytes of slot-table storage per pending event.
+  static constexpr size_t kSlotBytes = sizeof(Slot);
+
+ private:
   Time clamp(Time time) {
     if (time < now_) {
       ++clamped_;
@@ -272,12 +282,13 @@ class EventQueue {
     }
     return time;
   }
-  /// Sizes every per-event table for `n` pending events. Buckets never
-  /// outnumber pending events, so bucket storage grows only with the slot
-  /// table: a run whose event count has peaked allocates nothing, however
-  /// its events spread over distinct times.
+  /// Sizes every per-event table for `n` pending events. Buckets and
+  /// closures never outnumber pending events, so their storage grows only
+  /// with the slot table: a run whose event count has peaked allocates
+  /// nothing, however its events spread over distinct times or kinds.
   void reserve_events(size_t n);
   uint32_t acquire_slot();
+  uint32_t acquire_handler();
   uint32_t acquire_bucket();
   /// Appends `slot` (payload filled in) to the newest bucket for `time`.
   void push(Time time, uint32_t slot);
@@ -287,6 +298,8 @@ class EventQueue {
   std::vector<uint32_t> free_buckets_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  std::vector<Handler> handlers_;
+  std::vector<uint32_t> free_handlers_;
   CacheLine cache_[kCacheLines];
   PacketPool pool_;
   Time now_ = 0.0;

@@ -16,6 +16,20 @@ Link::Link(EventQueue& events, double capacity_bps, double delay_s,
       util_tau_s_(util_tau_s) {}
 
 bool Link::enqueue(Packet&& packet) {
+  if (!admit(packet)) return false;
+  // Parked once: the slot rides the queue, the transmit-done and the
+  // delivery event, and is released only when the packet leaves the link.
+  PacketPool& pool = events_.packet_pool();
+  Packet* parked = pool.adopt(packet);
+  if (parked == nullptr) {
+    parked = pool.acquire();
+    *parked = std::move(packet);
+  }
+  accept(parked);
+  return true;
+}
+
+bool Link::admit(const Packet& packet) {
   if (!down_ && gray_.loss_prob > 0.0) {
     // Gray loss: one hash draw per enqueue attempt, keyed by a per-link
     // counter + salt. Packet ids would be the obvious key, but they are
@@ -25,27 +39,26 @@ bool Link::enqueue(Packet&& packet) {
         static_cast<double>(util::mix64(gray_.salt + ++gray_tries_) >> 11) * 0x1.0p-53;
     if (draw < gray_.loss_prob) {
       if (telemetry_ != nullptr) telemetry_->metrics().add(telemetry_->core().gray_loss_drops);
-      note_drop(packet);
+      note_drop(packet.size_bytes, packet.kind);
       return false;
     }
   }
   if (down_ || queue_bytes_ + packet.size_bytes > queue_capacity_bytes_) {
-    note_drop(packet);
+    note_drop(packet.size_bytes, packet.kind);
     return false;
   }
+  return true;
+}
+
+void Link::accept(Packet* parked) {
   if (ecn_threshold_bytes_ > 0 && queue_bytes_ > ecn_threshold_bytes_) {
-    packet.ecn_marked = true;  // DCTCP-style instantaneous-queue marking
+    parked->ecn_marked = true;  // DCTCP-style instantaneous-queue marking
     if (telemetry_ != nullptr) telemetry_->metrics().add(telemetry_->core().link_ecn_marks);
   }
-  // Parked once: the slot rides the queue, the transmit-done and the
-  // delivery event, and is released only when the packet leaves the link.
-  Packet* parked = events_.packet_pool().acquire();
-  *parked = std::move(packet);
   queue_bytes_ += parked->size_bytes;
-  queue_.push_back(std::move(parked));
+  queue_.push_back(Queued{parked, parked->size_bytes, parked->kind});
   if (queue_sampler_) queue_sampler_(events_.now(), queue_bytes_);
   maybe_start_transmit();
-  return true;
 }
 
 void Link::set_down(bool down) {
@@ -59,9 +72,9 @@ void Link::set_down(bool down) {
     // the stale event fires, pop and forward a *new* head packet before its
     // serialization time has elapsed. The stale event itself is disarmed by
     // the tx_done_at_ stamp check in on_transmit_done.
-    queue_.for_each([this](Packet* p) {
-      note_drop(*p);
-      events_.packet_pool().release(p);
+    queue_.for_each([this](const Queued& q) {
+      note_drop(q.size_bytes, q.kind);
+      events_.packet_pool().release(q.packet);
     });
     queue_.clear();
     queue_bytes_ = 0;
@@ -78,10 +91,10 @@ void Link::set_gray(const GrayParams& gray) {
   // mid-run cannot replay an earlier drop sequence.
 }
 
-void Link::note_drop(const Packet& packet) {
+void Link::note_drop(uint32_t size_bytes, PacketKind kind) {
   ++stats_.drops;
-  stats_.drop_bytes += packet.size_bytes;
-  if (packet.kind != PacketKind::kProbe) ++stats_.data_drops;
+  stats_.drop_bytes += size_bytes;
+  if (kind != PacketKind::kProbe) ++stats_.data_drops;
   if (telemetry_ == nullptr) return;
   telemetry_->metrics().add(telemetry_->core().link_drops);
   telemetry_->metrics().observe(telemetry_->core().drop_queue_bytes,
@@ -91,8 +104,8 @@ void Link::note_drop(const Packet& packet) {
     r.t = events_.now();
     r.ev = obs::Ev::kDrop;
     r.link = link_id_;
-    r.aux = static_cast<uint32_t>(packet.kind);
-    r.value = static_cast<double>(packet.size_bytes);
+    r.aux = static_cast<uint32_t>(kind);
+    r.value = static_cast<double>(size_bytes);
     telemetry_->emit(r);
   }
 }
@@ -100,7 +113,7 @@ void Link::note_drop(const Packet& packet) {
 void Link::maybe_start_transmit() {
   if (busy_ || queue_.empty() || down_) return;
   busy_ = true;
-  const double tx_time = queue_.front()->size_bytes * 8.0 / capacity_bps();
+  const double tx_time = queue_.front().size_bytes * 8.0 / capacity_bps();
   tx_done_at_ = events_.now() + tx_time;
   events_.schedule_link_tx(tx_done_at_, this);
 }
@@ -114,45 +127,50 @@ void Link::on_transmit_done() {
   if (!busy_ || events_.now() != tx_done_at_) return;
   busy_ = false;
   if (down_ || queue_.empty()) return;  // lost while down
-  Packet* packet = queue_.pop_front();
-  queue_bytes_ -= packet->size_bytes;
-  note_tx(*packet);
+  const Queued head = queue_.pop_front();
+  queue_bytes_ -= head.size_bytes;
+  note_tx(head.size_bytes, head.kind);
   // Propagation: deliver after the wire delay — locally, or via the
   // cross-shard mailbox when this link's receive side lives in another shard.
   // delay_s() (not the raw member): a gray link's extra propagation latency
   // applies here. Only ever >= the base delay, so the parallel engine's
   // conservative lookahead (computed from base delays) stays valid.
   if (remote_forward_) {
-    remote_forward_(events_.now() + delay_s(), std::move(*packet));
-    events_.packet_pool().release(packet);
+    remote_forward_(events_.now() + delay_s(), std::move(*head.packet));
+    events_.packet_pool().release(head.packet);
   } else {
-    events_.schedule_deliver_parked(events_.now() + delay_s(), this, packet);
+    events_.schedule_deliver_parked(events_.now() + delay_s(), this, head.packet);
   }
   maybe_start_transmit();
 }
 
 void Link::complete_delivery(Packet* packet) {
-  // Release before delivering: the receiver's next enqueue then reuses this
-  // very slot, so a packet crossing many hops keeps recycling one slot.
-  Packet arrived = std::move(*packet);
-  events_.packet_pool().release(packet);
-  if (deliver_ && !down_) deliver_(std::move(arrived));
+  // The receiver reads the packet in its slot. If it forwards that same
+  // object, the next link's enqueue adopts the slot and the loan ends
+  // without a release: a packet crossing many hops keeps one slot.
+  PacketPool& pool = events_.packet_pool();
+  if (deliver_ && !down_) {
+    pool.lend(packet);
+    deliver_(std::move(*packet));
+    if (!pool.end_loan()) return;
+  }
+  pool.release(packet);
 }
 
-void Link::note_tx(const Packet& packet) {
+void Link::note_tx(uint32_t size_bytes, PacketKind kind) {
   ++stats_.tx_packets;
-  stats_.tx_bytes += packet.size_bytes;
-  switch (packet.kind) {
+  stats_.tx_bytes += size_bytes;
+  switch (kind) {
     case PacketKind::kData:
-      stats_.tx_data_bytes += packet.size_bytes;
+      stats_.tx_data_bytes += size_bytes;
       ++stats_.tx_data_packets;
       break;
     case PacketKind::kAck:
-      stats_.tx_ack_bytes += packet.size_bytes;
+      stats_.tx_ack_bytes += size_bytes;
       ++stats_.tx_ack_packets;
       break;
     case PacketKind::kProbe:
-      stats_.tx_probe_bytes += packet.size_bytes;
+      stats_.tx_probe_bytes += size_bytes;
       ++stats_.tx_probe_packets;
       break;
   }
@@ -160,7 +178,7 @@ void Link::note_tx(const Packet& packet) {
   // transmitted bytes.
   const Time now = events_.now();
   const double decay = std::max(0.0, 1.0 - (now - util_updated_) / util_tau_s_);
-  util_bytes_ = packet.size_bytes + util_bytes_ * decay;
+  util_bytes_ = size_bytes + util_bytes_ * decay;
   util_updated_ = now;
 }
 

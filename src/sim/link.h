@@ -85,8 +85,25 @@ class Link {
   }
 
   /// Enqueues for transmission; false (and a drop count) if the queue is
-  /// full or the link is administratively down.
+  /// full or the link is administratively down. The packet the event queue
+  /// is delivering right now (a receiver forwarding what it was handed)
+  /// keeps its pool slot; any other packet is moved into a fresh one.
   bool enqueue(Packet&& packet);
+
+  /// Fan-out: enqueues a copy of `packet` carrying `id`, written straight
+  /// into a pool slot. Admission (gray loss, down, drop-tail) and ECN marking
+  /// run as in enqueue; a dropped copy takes no slot. `stamp` edits the copy
+  /// in its slot before it joins the queue.
+  template <typename Stamp>
+  bool enqueue_copy(const Packet& packet, uint64_t id, Stamp&& stamp) {
+    if (!admit(packet)) return false;
+    Packet* parked = events_.packet_pool().acquire();
+    *parked = packet;
+    parked->id = id;
+    stamp(*parked);
+    accept(parked);
+    return true;
+  }
 
   void set_down(bool down);
   bool down() const { return down_; }
@@ -128,12 +145,20 @@ class Link {
   // closure; see EventQueue::schedule_link_tx / schedule_deliver.
   friend class EventQueue;
 
+  /// Gray loss, down and drop-tail checks; counts the drop and returns
+  /// false when `packet` may not join the queue.
+  bool admit(const Packet& packet);
+  /// Queues an admitted packet already in its pool slot: ECN mark, FIFO,
+  /// queue sampler, transmission start.
+  void accept(Packet* parked);
   void maybe_start_transmit();
+  /// Serialization finished: stats, utilization and the hand-off to the
+  /// delivery event read only the FIFO entry, never the packet.
   void on_transmit_done();
-  /// Propagation finished: return the pooled slot to the event queue's
-  /// freelist and hand its packet to deliver_.
+  /// Propagation finished: hand the slot's packet to deliver_ in place, then
+  /// release the slot unless the receiver forwarded the packet in it.
   void complete_delivery(Packet* packet);
-  void note_tx(const Packet& packet);
+  void note_tx(uint32_t size_bytes, PacketKind kind);
 
   EventQueue& events_;
   double capacity_bps_;
@@ -141,9 +166,16 @@ class Link {
   uint64_t queue_capacity_bytes_;
   double util_tau_s_;
 
+  /// A queued packet: its pool slot plus the two fields serialization and
+  /// the tx counters need, so the transmit path never reads the slot.
+  struct Queued {
+    Packet* packet = nullptr;
+    uint32_t size_bytes = 0;
+    PacketKind kind = PacketKind::kData;
+  };
   /// FIFO of packets parked in events_.packet_pool(); the link owns each
   /// slot until the packet is dropped, forwarded remotely or delivered.
-  util::RingQueue<Packet*> queue_;
+  util::RingQueue<Queued> queue_;
   uint64_t queue_bytes_ = 0;
   uint64_t ecn_threshold_bytes_ = 0;
   bool busy_ = false;
@@ -162,7 +194,7 @@ class Link {
   Time util_updated_ = 0.0;
   double fluid_load_bps_ = 0.0;  ///< hybrid engine's committed wire-rate load
 
-  void note_drop(const Packet& packet);
+  void note_drop(uint32_t size_bytes, PacketKind kind);
 
   DeliverFn deliver_;
   RemoteForwardFn remote_forward_;

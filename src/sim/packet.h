@@ -82,8 +82,14 @@ static_assert(std::is_trivially_copyable_v<IntHop>,
               "INT hop records must copy without touching the heap");
 
 struct Packet {
+  // The fields a probe hop reads (kind, size, id, routing state, probe
+  // payload) lead the struct so they share its first two cache lines.
   PacketKind kind = PacketKind::kData;
+  bool ecn_marked = false;  ///< congestion-experienced (set by queues, echoed by ACKs)
+  uint32_t size_bytes = 0;
   uint64_t id = 0;  ///< unique per packet, for tracing
+  RoutingState routing;
+  std::optional<ProbeFields> probe;
 
   // Endpoints.
   HostId src_host = kInvalidHost;
@@ -94,12 +100,8 @@ struct Packet {
   // Transport.
   uint64_t flow_id = 0;
   uint64_t seq = 0;       ///< data: sequence number; ack: cumulative ack
-  uint32_t size_bytes = 0;
-  bool ecn_marked = false;  ///< congestion-experienced (set by queues, echoed by ACKs)
 
   util::FiveTuple tuple;
-  RoutingState routing;
-  std::optional<ProbeFields> probe;
   std::optional<CongaFields> conga;
 
   /// Switch-level path trace (appended by dataplanes as the packet crosses
@@ -127,13 +129,16 @@ struct Packet {
   }
 };
 
-/// Freelist recycler for in-flight packet storage. A link parks each packet
-/// here once, at enqueue; the slot then rides the link queue, the
-/// transmit-done and the delivery event (see EventQueue::
-/// schedule_deliver_parked) and is released when the packet leaves the link.
-/// Recycling the slots keeps the steady-state hop path allocation-free. Slots are poisoned while free in debug builds
-/// so reuse-after-release is caught instead of silently corrupting a
-/// simulation.
+/// Freelist recycler for in-flight packet storage. Each hop writes its
+/// packet into a slot once: Link::enqueue moves it in (or copies a fan-out
+/// copy straight in, Link::enqueue_copy), the slot then rides the link queue,
+/// the transmit-done and the delivery event, and the receiver reads it in
+/// place. A receiver that forwards the delivered packet object hands the slot
+/// on to the next link (see lend/adopt). Recycling the slots keeps the
+/// steady-state hop path allocation-free. Slots are heap-allocated one by one
+/// so their addresses stay stable while the pool grows. Slots are poisoned
+/// while free in debug builds so reuse-after-release is caught instead of
+/// silently corrupting a simulation.
 class PacketPool {
  public:
   /// Returns a recycled (or newly created) packet slot. The caller owns the
@@ -142,6 +147,24 @@ class PacketPool {
   /// Returns a slot to the freelist. Double-release asserts in debug builds.
   void release(Packet* packet);
 
+  /// Delivery lends `slot` to the receiver for the duration of one call.
+  void lend(Packet* slot) { lent_ = slot; }
+  /// The lent slot when `packet` is the lent packet itself (a receiver
+  /// forwarding what it was handed): the caller takes the slot over, and the
+  /// loan ends without a release. nullptr for any other packet.
+  Packet* adopt(Packet& packet) {
+    if (&packet != lent_) return nullptr;
+    lent_ = nullptr;
+    return &packet;
+  }
+  /// Ends the loan: true when the slot came back unadopted and the lender
+  /// must release it.
+  bool end_loan() {
+    const bool returned = lent_ != nullptr;
+    lent_ = nullptr;
+    return returned;
+  }
+
   /// Slots ever created (freelist high-water mark); stable once warm.
   size_t allocated() const { return storage_.size(); }
   size_t free_count() const { return free_.size(); }
@@ -149,6 +172,7 @@ class PacketPool {
  private:
   std::vector<std::unique_ptr<Packet>> storage_;
   std::vector<Packet*> free_;
+  Packet* lent_ = nullptr;
 };
 
 }  // namespace contra::sim

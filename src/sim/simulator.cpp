@@ -67,19 +67,29 @@ void Simulator::start() {
   }
 }
 
-bool Simulator::send_on_link(topology::LinkId link, Packet&& packet) {
-  if (flow_telemetry_ && packet.kind == PacketKind::kData) {
-    // Order-sensitive path signature over fabric links: link+1 so link 0
-    // contributes. Host links never pass through here, so the signature
-    // identifies the fabric path alone.
-    packet.path_sig = util::hash_combine(packet.path_sig, link + 1);
-    if (packet.hops < UINT8_MAX) ++packet.hops;
-    if (packet.int_sampled && packet.int_hops.size() < kIntHopCap) {
-      Link& l = *links_[link];
-      packet.int_hops.push_back(IntHop{link, static_cast<uint32_t>(l.queue_bytes()), now()});
-    }
+void Simulator::stamp_fabric_hop(topology::LinkId link, Packet& packet) const {
+  if (!flow_telemetry_ || packet.kind != PacketKind::kData) return;
+  // Order-sensitive path signature over fabric links: link+1 so link 0
+  // contributes. Host links never pass through here, so the signature
+  // identifies the fabric path alone.
+  packet.path_sig = util::hash_combine(packet.path_sig, link + 1);
+  if (packet.hops < UINT8_MAX) ++packet.hops;
+  if (packet.int_sampled && packet.int_hops.size() < kIntHopCap) {
+    const Link& l = *links_[link];
+    packet.int_hops.push_back(IntHop{link, static_cast<uint32_t>(l.queue_bytes()), now()});
   }
+}
+
+bool Simulator::send_on_link(topology::LinkId link, Packet&& packet) {
+  stamp_fabric_hop(link, packet);
   return links_.at(link)->enqueue(std::move(packet));
+}
+
+bool Simulator::send_copy_on_link(topology::LinkId link, const Packet& packet, uint64_t id) {
+  // The stamp lands on the admitted copy: admission changes no queue state,
+  // so it records what send_on_link's stamp would.
+  return links_.at(link)->enqueue_copy(packet, id,
+                                       [&](Packet& copy) { stamp_fabric_hop(link, copy); });
 }
 
 bool Simulator::send_to_host(HostId host, Packet&& packet) {

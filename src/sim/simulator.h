@@ -116,6 +116,10 @@ class Simulator {
 
   /// Switch egress on a topology link. Returns false when dropped.
   bool send_on_link(topology::LinkId link, Packet&& packet);
+  /// Fan-out egress: sends a copy of `packet` under `id`, written straight
+  /// into the link's pool slot (Link::enqueue_copy). Otherwise exactly
+  /// send_on_link of a copy. Returns false when dropped.
+  bool send_copy_on_link(topology::LinkId link, const Packet& packet, uint64_t id);
   /// Edge switch -> attached host.
   bool send_to_host(HostId host, Packet&& packet);
   /// Host NIC -> its switch.
@@ -182,6 +186,8 @@ class Simulator {
 
  private:
   void wire_topology_links();
+  /// Flow telemetry's per-fabric-hop stamp (data packets, when enabled).
+  void stamp_fabric_hop(topology::LinkId link, Packet& packet) const;
   /// fail_cable / restore_cable: the transition on this replica, reported
   /// when owned.
   void set_cable_state(topology::LinkId link, bool down);

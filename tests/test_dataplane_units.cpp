@@ -2,6 +2,9 @@
 // detector, probe clock / failure detector, and routing table computation.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
+
 #include "dataplane/flowlet_table.h"
 #include "dataplane/loop_detector.h"
 #include "dataplane/probe_engine.h"
@@ -60,6 +63,39 @@ TEST(FlowletTable, PrevNhopWindowIsBounded) {
   }
   EXPECT_LE(table.prev_nhop_window_size(), FlowletTable::kPrevNhopCap);
   EXPECT_GE(table.prev_nhop_window_size(), 1u);
+}
+
+TEST(FlowletTable, PrevNhopWindowMatchesMapModel) {
+  // Random set/erase/find/clear over a small key space (long probe runs,
+  // so backward-shift erase moves keys) against std::unordered_map.
+  PrevNhopWindow window;
+  std::unordered_map<FlowletKey, topology::LinkId, FlowletKeyHash> model;
+  std::mt19937 rng(7);
+  for (int step = 0; step < 20000; ++step) {
+    const FlowletKey key{static_cast<uint32_t>(rng() % 3), 0, static_cast<uint32_t>(rng() % 64)};
+    const uint32_t op = rng() % 100;
+    if (op < 45) {
+      const auto nhop = static_cast<topology::LinkId>(rng() % 16);
+      window.set(key, nhop);
+      model[key] = nhop;
+    } else if (op < 90) {
+      window.erase(key);
+      model.erase(key);
+    } else if (op < 91) {
+      window.clear();
+      model.clear();
+    }
+    ASSERT_EQ(window.size(), model.size());
+    for (uint32_t fid = 0; fid < 64; fid += 7) {
+      const FlowletKey probe{key.tag, 0, fid};
+      const topology::LinkId* found = window.find(probe);
+      const auto it = model.find(probe);
+      ASSERT_EQ(found != nullptr, it != model.end());
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second);
+      }
+    }
+  }
 }
 
 TEST(FlowletTable, TouchExtendsLife) {

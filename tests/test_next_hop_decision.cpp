@@ -337,10 +337,11 @@ TEST(NextHopDecision, EcmpForwardingAllocatesNothing) {
 // ---- Contra transit forwarding does not allocate --------------------------------
 
 // Stamped data packets enter a transit switch, where exact loop accounting
-// records every new packet id. After a warm-up longer than the 10 ms loop
-// accounting window (so the window has restarted and its table has reached
-// its working size), forwarding a fresh packet allocates nothing.
-TEST(NextHopDecision, ContraTransitForwardingAllocatesNothing) {
+// records every new packet id. After a warm-up until `warmup_end_s`, long
+// enough for the 10 ms loop accounting window to restart and its table to
+// reach its working size, forwarding a fresh packet allocates nothing. Each
+// transit flow sends one packet every `gap_s`.
+void expect_transit_forwarding_allocates_nothing(double gap_s, double warmup_end_s) {
   World w(Plane::kContra);
   w.sim.start();
   w.sim.run_until(3e-3);  // control plane converges
@@ -366,12 +367,12 @@ TEST(NextHopDecision, ContraTransitForwardingAllocatesNothing) {
   // Warm-up: flowlets pinned, link rings, event storage and the packet
   // pool at working size, and one loop-accounting window restart.
   uint64_t seq = 0;
-  while (w.sim.now() < 15e-3) {
+  while (w.sim.now() < warmup_end_s) {
     for (const Transit& t : transits) {
       w.sim.device_at(w.topo.link(t.in_link).to).handle_packet(w.sim, packet(t, seq), t.in_link);
     }
     ++seq;
-    w.sim.run_until(w.sim.now() + 100e-6);
+    w.sim.run_until(w.sim.now() + gap_s);
   }
   uint64_t forwarded = 0;
   uint64_t allocs = 0;
@@ -387,10 +388,23 @@ TEST(NextHopDecision, ContraTransitForwardingAllocatesNothing) {
       allocs += util::alloc_count() - before;
       forwarded += contra->stats().data_forwarded - forwarded_before;
     }
-    w.sim.run_until(w.sim.now() + 100e-6);
+    w.sim.run_until(w.sim.now() + gap_s);
   }
   EXPECT_EQ(forwarded, 16u * transits.size());
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(NextHopDecision, ContraTransitForwardingAllocatesNothing) {
+  expect_transit_forwarding_allocates_nothing(100e-6, 15e-3);
+}
+
+// Gaps longer than the 200 us flowlet timeout: every packet finds its
+// flowlet expired and re-pins it, which must reuse the table's storage. The
+// first loop accounting window closes at 10 ms, after only 7 ms of traffic;
+// at this sparser rate the second, full window holds more ids than the
+// first, so the warm-up runs through it.
+TEST(NextHopDecision, ContraTransitForwardingAfterFlowletExpiryAllocatesNothing) {
+  expect_transit_forwarding_allocates_nothing(300e-6, 25e-3);
 }
 
 }  // namespace

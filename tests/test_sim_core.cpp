@@ -3,7 +3,10 @@
 // the golden-replay determinism gate for the zero-allocation event core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <memory>
 #include <random>
 #include <set>
 #include <tuple>
@@ -441,6 +444,89 @@ TEST(Link, SteadyStateHopAllocatesNothing) {
   EXPECT_EQ(util::alloc_count() - allocs_before, 0u);
   EXPECT_EQ(q.packet_pool().allocated(), 1u);  // one slot, recycled forever
 }
+
+TEST(Link, ForwardedPacketKeepsItsSlot) {
+  // Three links in a ring; each receiver edits the delivered packet and
+  // forwards that same object. The next enqueue adopts the delivery's slot,
+  // so the packet is written once and read in place at every hop: one slot
+  // for the whole run, and no allocation once warm.
+  EventQueue q;
+  Link l0(q, 1e9, 5e-6, 1 << 20, 1e-3);
+  Link l1(q, 1e9, 5e-6, 1 << 20, 1e-3);
+  Link l2(q, 1e9, 5e-6, 1 << 20, 1e-3);
+  uint64_t hops = 0;
+  bool intact = true;
+  auto forward_to = [&](Link& next) {
+    return [&](Packet&& p) {
+      ++hops;
+      intact = intact && p.id == 42 && p.seq == hops - 1;
+      ++p.seq;  // edited in its slot; the next hop must see it
+      next.enqueue(std::move(p));
+    };
+  };
+  l0.set_deliver(forward_to(l1));
+  l1.set_deliver(forward_to(l2));
+  l2.set_deliver(forward_to(l0));
+  Packet first = make_packet(1500);
+  first.id = 42;
+  l0.enqueue(std::move(first));
+  q.run_until(1e-3);  // warmup
+  ASSERT_GT(hops, 10u);
+  const uint64_t hops_before = hops;
+  const uint64_t allocs_before = util::alloc_count();
+  q.run_until(10e-3);
+  EXPECT_GT(hops, hops_before + 100);
+  EXPECT_EQ(util::alloc_count() - allocs_before, 0u);
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(q.packet_pool().allocated(), 1u);
+}
+
+TEST(Link, FanOutCopiesAllocateNothing) {
+  // One packet ping-pongs on `loop`; every delivery also fans a copy out to
+  // each of three links, written straight into pool slots. Once the pool
+  // holds the working set of copies, a delivery with its fan-out allocates
+  // nothing, and every copy carries its own id.
+  EventQueue q;
+  Link loop(q, 1e9, 5e-6, 1 << 20, 1e-3);
+  std::vector<std::unique_ptr<Link>> outs;
+  for (int i = 0; i < 3; ++i) outs.push_back(std::make_unique<Link>(q, 1e9, 5e-6, 1 << 20, 1e-3));
+  std::vector<uint64_t> copy_ids;
+  copy_ids.reserve(1 << 16);
+  for (auto& out : outs) {
+    out->set_deliver([&](Packet&& p) { copy_ids.push_back(p.id); });
+  }
+  uint64_t next_id = 1000;
+  uint64_t deliveries = 0;
+  loop.set_deliver([&](Packet&& p) {
+    ++deliveries;
+    for (auto& out : outs) out->enqueue_copy(p, next_id++, [](Packet&) {});
+    loop.enqueue(std::move(p));
+  });
+  Packet first = make_packet(1000, PacketKind::kProbe);
+  first.id = 1;
+  first.probe = ProbeFields{};
+  loop.enqueue(std::move(first));
+  q.run_until(1e-3);  // warmup
+  ASSERT_GT(deliveries, 10u);
+  const uint64_t deliveries_before = deliveries;
+  const uint64_t allocs_before = util::alloc_count();
+  q.run_until(10e-3);
+  EXPECT_GT(deliveries, deliveries_before + 100);
+  EXPECT_EQ(util::alloc_count() - allocs_before, 0u);
+  ASSERT_LE(copy_ids.size(), copy_ids.capacity());
+  EXPECT_EQ(copy_ids.size() + 3, 3 * deliveries);  // the last fan-out is still on the wire
+  EXPECT_EQ(std::set<uint64_t>(copy_ids.begin(), copy_ids.end()).size(), copy_ids.size());
+  EXPECT_EQ(std::count(copy_ids.begin(), copy_ids.end(), 1u), 0);
+}
+
+// Hop-path layout: a pending event is one small slot, and the fields a probe
+// hop reads share the first two cache lines of a packet.
+static_assert(EventQueue::kSlotBytes <= 32);
+static_assert(offsetof(Packet, kind) < 128);
+static_assert(offsetof(Packet, size_bytes) + sizeof(Packet::size_bytes) <= 128);
+static_assert(offsetof(Packet, id) + sizeof(Packet::id) <= 128);
+static_assert(offsetof(Packet, routing) + sizeof(Packet::routing) <= 128);
+static_assert(offsetof(Packet, probe) + sizeof(Packet::probe) <= 128);
 
 TEST(Link, SetDownReleasesParkedPackets) {
   // A link parks every queued packet in the event queue's pool. Going down

@@ -2,8 +2,8 @@
 // line: pick a topology, a dataplane (contra / ecmp / hula / spain / sp), a
 // workload, and get FCT + overhead numbers.
 //
-//   contrasim --builtin fat-tree:4 --plane contra \
-//             --policy "minimize((path.len, path.util))" \
+//   contrasim --builtin fat-tree:4 --plane contra
+//             --policy "minimize((path.len, path.util))"
 //             --workload web-search --load 0.6 --duration-ms 30 --seed 1
 //
 // Hosts attach to fat-tree edge switches / leaf-spine leaves automatically;
